@@ -14,8 +14,10 @@
 // perturbed design; the fusion contract is that warm serving must not move
 // this accuracy (the warm PCG targets the same residual the cold rough solve
 // reached). Writes BENCH_incremental_serve.json and exits non-zero unless
-//   speedup >= 2  AND  max |mae_warm - mae_cold| <= 1e-8  AND  every
-// perturbation was actually served warm. Pass --quick for CI-sized inputs.
+//   max |mae_warm - mae_cold| <= 1e-8  AND  every perturbation was actually
+// served warm. The warm/cold speedup is recorded, never enforced: speed is
+// compared with interleaved perfbench pairs, not with a host-dependent bar.
+// Pass --quick for CI-sized inputs.
 
 #include <algorithm>
 #include <cmath>
@@ -223,9 +225,9 @@ int main(int argc, char** argv) {
             << "/" << sz.rounds << "\n"
             << "wrote BENCH_incremental_serve.json\n";
 
-  // Acceptance bars: warm serving at least 2x faster at unchanged accuracy,
-  // with every perturbation actually served through the warm path.
-  const bool pass = speedup >= 2.0 && mae_diff_max <= 1e-8 && all_warm &&
+  // Correctness bars: unchanged accuracy, with every perturbation actually
+  // served through the warm path.
+  const bool pass = mae_diff_max <= 1e-8 && all_warm &&
                     warm_stats.warm_hits == static_cast<std::uint64_t>(sz.rounds);
   return pass ? 0 : 1;
 }

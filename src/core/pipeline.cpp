@@ -163,73 +163,6 @@ IrFusionPipeline::Diagnostics IrFusionPipeline::analyze_with_diagnostics(
   return diag;
 }
 
-GridF IrFusionPipeline::analyze_tiled(const pg::PgDesign& design, int native_size,
-                                      int overlap) const {
-  if (!fitted_) throw ConfigError("analyze_tiled: pipeline not fitted");
-  const int tile = config_.image_size;
-  if (native_size < tile) {
-    throw ConfigError("analyze_tiled: native size smaller than the training tile");
-  }
-  if (native_size % 16 != 0) {
-    throw ConfigError("analyze_tiled: native size must be divisible by 16");
-  }
-  if (overlap < 0) overlap = tile / 4;
-  if (overlap >= tile) throw ConfigError("analyze_tiled: overlap must be < tile size");
-
-  // Numerical stage + features once, at the native resolution.
-  pg::PgSolver solver(design);
-  const pg::PgSolution rough = solver.solve_rough(config_.rough_iterations);
-  features::FeatureOptions opts;
-  opts.image_size = native_size;
-  opts.hierarchical = true;
-  opts.include_numerical = true;
-  const features::FeatureStack hier = features::extract_features(design, &rough, opts);
-  opts.hierarchical = false;
-  const features::FeatureStack flat = features::extract_features(design, &rough, opts);
-  const GridF rough_native = features::label_map(design, rough, native_size);
-
-  auto crop = [](const GridF& src, int y0, int x0, int size) {
-    GridF out(size, size);
-    for (int y = 0; y < size; ++y)
-      for (int x = 0; x < size; ++x) out(y, x) = src(y0 + y, x0 + x);
-    return out;
-  };
-
-  GridF accum(native_size, native_size, 0.0f);
-  GridF weight(native_size, native_size, 0.0f);
-  const int stride = tile - overlap;
-  for (int y0 = 0; y0 < native_size; y0 += stride) {
-    const int ty = std::min(y0, native_size - tile);
-    for (int x0 = 0; x0 < native_size; x0 += stride) {
-      const int tx = std::min(x0, native_size - tile);
-      Sample s;
-      s.design_name = design.name;
-      s.kind = design.kind;
-      s.hier.names = hier.names;
-      s.flat.names = flat.names;
-      for (const GridF& ch : hier.channels) s.hier.channels.push_back(crop(ch, ty, tx, tile));
-      for (const GridF& ch : flat.channels) s.flat.channels.push_back(crop(ch, ty, tx, tile));
-      s.label = GridF(tile, tile, 0.0f);
-      s.rough_bottom = crop(rough_native, ty, tx, tile);
-      const GridF pred = predict(s);
-      // Triangular blending weight peaks at the tile centre so overlaps
-      // fade smoothly.
-      for (int y = 0; y < tile; ++y) {
-        const float wy = 1.0f + std::min(y, tile - 1 - y);
-        for (int x = 0; x < tile; ++x) {
-          const float wx = 1.0f + std::min(x, tile - 1 - x);
-          accum(ty + y, tx + x) += pred(y, x) * wy * wx;
-          weight(ty + y, tx + x) += wy * wx;
-        }
-      }
-      if (tx >= native_size - tile) break;
-    }
-    if (ty >= native_size - tile) break;
-  }
-  for (std::size_t i = 0; i < accum.size(); ++i) accum.data()[i] /= weight.data()[i];
-  return accum;
-}
-
 GridF IrFusionPipeline::predict(const Sample& sample) const {
   GridF out = train::predict_volts(*model_, sample, view(), normalizer_);
   if (refines_rough_solution()) {

@@ -42,7 +42,7 @@ struct PipelineConfig {
 /// by the serve checkpoint reader before trusting an on-disk config).
 /// Throws irf::ConfigError naming the offending field; catching a bad
 /// image_size or NaN learning rate here beats failing deep inside
-/// fit()/analyze_tiled().
+/// fit()/analyze().
 void validate_config(const PipelineConfig& config);
 
 class IrFusionPipeline {
@@ -72,14 +72,6 @@ class IrFusionPipeline {
     double inference_seconds = 0.0;  ///< feature fusion + model forward time
   };
   Diagnostics analyze_with_diagnostics(const pg::PgDesign& design) const;
-
-  /// Scalability path: analyze a design at a native resolution larger than
-  /// the training resolution by running the model over overlapping tiles
-  /// and blending the overlaps. `native_size` is the full-map resolution
-  /// (must be >= the training image size and divisible by 16); overlap is
-  /// in pixels (defaults to a quarter tile).
-  GridF analyze_tiled(const pg::PgDesign& design, int native_size,
-                      int overlap = -1) const;
 
   /// Evaluate on held-out designs; runtime includes the numerical stage.
   train::AggregateMetrics evaluate(

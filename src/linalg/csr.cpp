@@ -11,9 +11,9 @@
 
 namespace irf::linalg {
 
-// Copies and moves transfer the CSR arrays only; derived caches (SELL
-// layout, diagonal index/values) rebuild lazily on the destination and are
-// dropped on a moved-from source, whose arrays no longer back them.
+// Copies and moves transfer the CSR arrays only; the diagonal caches rebuild
+// lazily on the destination and are dropped on a moved-from source, whose
+// arrays no longer back them.
 
 CsrMatrix::CsrMatrix(const CsrMatrix& other)
     : rows_(other.rows_),
@@ -29,12 +29,7 @@ CsrMatrix& CsrMatrix::operator=(const CsrMatrix& other) {
   row_ptr_ = other.row_ptr_;
   col_idx_ = other.col_idx_;
   values_ = other.values_;
-  std::scoped_lock lock(cache_mu_);
-  sell_.reset();
-  diag_idx_.clear();
-  diag_.clear();
-  diag_idx_built_ = false;
-  diag_vals_built_ = false;
+  reset_caches();
   return *this;
 }
 
@@ -46,11 +41,7 @@ CsrMatrix::CsrMatrix(CsrMatrix&& other) noexcept
       values_(std::move(other.values_)) {
   other.rows_ = 0;
   other.cols_ = 0;
-  other.sell_.reset();
-  other.diag_idx_.clear();
-  other.diag_.clear();
-  other.diag_idx_built_ = false;
-  other.diag_vals_built_ = false;
+  other.reset_caches();
 }
 
 CsrMatrix& CsrMatrix::operator=(CsrMatrix&& other) noexcept {
@@ -62,17 +53,18 @@ CsrMatrix& CsrMatrix::operator=(CsrMatrix&& other) noexcept {
   values_ = std::move(other.values_);
   other.rows_ = 0;
   other.cols_ = 0;
-  other.sell_.reset();
-  other.diag_idx_.clear();
-  other.diag_.clear();
-  other.diag_idx_built_ = false;
-  other.diag_vals_built_ = false;
-  sell_.reset();
+  other.reset_caches();
+  reset_caches();
+  return *this;
+}
+
+// Assignment and moves own both matrices exclusively (non-const), so no
+// concurrent reader can hold the caches: no lock needed.
+void CsrMatrix::reset_caches() {
   diag_idx_.clear();
   diag_.clear();
   diag_idx_built_ = false;
   diag_vals_built_ = false;
-  return *this;
 }
 
 CsrMatrix CsrMatrix::from_triplets(const TripletBuilder& builder) {
@@ -138,22 +130,8 @@ void CsrMatrix::multiply(const Vec& x, Vec& y) const {
     throw DimensionError("SpMV: x has " + std::to_string(x.size()) + " entries, need " +
                          std::to_string(cols_));
   }
-  if (simd::enabled() && rows_ > 0) {
-    // SELL path: every row is written exactly once (through the slice
-    // permutation), so no zero-fill pass is needed. Per-row accumulation
-    // order matches the reference loop below bit for bit.
-    const simd::SellView<double> view = sell().view();
-    y.resize(static_cast<std::size_t>(rows_));
-    const double* xp = x.data();
-    double* yp = y.data();
-    par::parallel_for(0, view.num_slices, par::kRowGrain / simd::kLanes,
-                      [&](std::int64_t lo, std::int64_t hi) {
-                        simd::sell_spmv(view, xp, yp, static_cast<int>(lo),
-                                        static_cast<int>(hi));
-                      });
-    return;
-  }
-  y.assign(static_cast<std::size_t>(rows_), 0.0);
+  // Every row is written exactly once below, so no zero-fill pass is needed.
+  y.resize(static_cast<std::size_t>(rows_));
   par::parallel_for(0, rows_, par::kRowGrain, [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t r = lo; r < hi; ++r) {
       double s = 0.0;
@@ -164,23 +142,9 @@ void CsrMatrix::multiply(const Vec& x, Vec& y) const {
 }
 
 std::vector<double>& CsrMatrix::mutable_values() {
-  invalidate_value_caches();
-  return values_;
-}
-
-void CsrMatrix::invalidate_value_caches() const {
   std::scoped_lock lock(cache_mu_);
-  sell_.reset();
   diag_vals_built_ = false;
-}
-
-const simd::SellMatrix<double>& CsrMatrix::sell() const {
-  std::scoped_lock lock(cache_mu_);
-  if (!sell_) {
-    sell_ = std::make_unique<simd::SellMatrix<double>>(simd::build_sell<double>(
-        rows_, row_ptr_.data(), col_idx_.data(), values_.data()));
-  }
-  return *sell_;
+  return values_;
 }
 
 const std::vector<int>& CsrMatrix::diag_index() const {
@@ -219,7 +183,6 @@ std::size_t CsrMatrix::memory_bytes() const {
                       col_idx_.capacity() * sizeof(int) +
                       values_.capacity() * sizeof(double);
   std::scoped_lock lock(cache_mu_);
-  if (sell_) bytes += sell_->memory_bytes();
   bytes += diag_idx_.capacity() * sizeof(int);
   bytes += diag_.capacity() * sizeof(double);
   return bytes;

@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "par/par.hpp"
-#include "simd/simd.hpp"
 
 namespace irf::linalg {
 
@@ -24,7 +23,7 @@ void jacobi_sweep(const CsrMatrix& a, const Vec& b, Vec& x, double omega) {
   // by construction). The residual SpMV parallelizes inside multiply(); the
   // diagonal comes from the matrix's cache instead of a per-sweep search,
   // with a zero scan up front so the update loop itself is branch-free and
-  // vectorizes (simd::jacobi_update).
+  // vectorizes.
   Vec r = subtract(b, a.multiply(x));
   const Vec& diag = a.cached_diagonal();
   for (int i = 0; i < a.rows(); ++i) {
@@ -33,8 +32,7 @@ void jacobi_sweep(const CsrMatrix& a, const Vec& b, Vec& x, double omega) {
     }
   }
   par::parallel_for(0, a.rows(), par::kRowGrain, [&](std::int64_t lo, std::int64_t hi) {
-    simd::jacobi_update(r.data() + lo, diag.data() + lo, omega, x.data() + lo,
-                        hi - lo);
+    for (std::int64_t i = lo; i < hi; ++i) x[i] += omega * r[i] / diag[i];
   });
 }
 

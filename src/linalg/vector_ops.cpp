@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "par/par.hpp"
-#include "simd/simd.hpp"
 
 namespace irf::linalg {
 
@@ -16,18 +15,34 @@ void check_same_size(const Vec& a, const Vec& b, const char* op) {
                          ")");
   }
 }
+
+// Blocked dot over [0, n): accumulator l owns the elements congruent to l
+// mod kDotLanes and the partials fold in ascending order. The written pattern
+// (not the compiler's vectorization) defines the rounding.
+constexpr int kDotLanes = 8;
+
+double blocked_dot(const double* a, const double* b, std::int64_t n) {
+  double acc[kDotLanes] = {};
+  const std::int64_t nblk = n - n % kDotLanes;
+  for (std::int64_t i = 0; i < nblk; i += kDotLanes) {
+    for (int l = 0; l < kDotLanes; ++l) acc[l] += a[i + l] * b[i + l];
+  }
+  for (std::int64_t i = nblk; i < n; ++i) acc[i - nblk] += a[i] * b[i];
+  double s = 0.0;
+  for (int l = 0; l < kDotLanes; ++l) s += acc[l];
+  return s;
+}
 }  // namespace
 
 double dot(const Vec& a, const Vec& b) {
   check_same_size(a, b, "dot");
   // Chunked deterministic reduction: the partial layout depends only on the
-  // grain, so the result is bit-identical for any IRF_THREADS. Each chunk
-  // runs the simd blocked-dot kernel, whose lane pattern is likewise fixed,
-  // so the result is also bit-identical for any ISA tier and for IRF_SIMD=0.
+  // grain, and each chunk runs the fixed blocked pattern, so the result is
+  // bit-identical for any IRF_THREADS.
   return par::parallel_reduce(
       0, static_cast<std::int64_t>(a.size()), par::kReduceGrain, 0.0,
       [&](std::int64_t lo, std::int64_t hi) {
-        return simd::dot(a.data() + lo, b.data() + lo, hi - lo);
+        return blocked_dot(a.data() + lo, b.data() + lo, hi - lo);
       },
       [](double x, double y) { return x + y; });
 }
@@ -49,7 +64,7 @@ void axpy(double alpha, const Vec& x, Vec& y) {
   check_same_size(x, y, "axpy");
   par::parallel_for(0, static_cast<std::int64_t>(x.size()), par::kVecGrain,
                     [&](std::int64_t lo, std::int64_t hi) {
-                      simd::axpy(alpha, x.data() + lo, y.data() + lo, hi - lo);
+                      for (std::int64_t i = lo; i < hi; ++i) y[i] += alpha * x[i];
                     });
 }
 
@@ -57,14 +72,14 @@ void xpby(const Vec& x, double beta, Vec& y) {
   check_same_size(x, y, "xpby");
   par::parallel_for(0, static_cast<std::int64_t>(x.size()), par::kVecGrain,
                     [&](std::int64_t lo, std::int64_t hi) {
-                      simd::xpby(x.data() + lo, beta, y.data() + lo, hi - lo);
+                      for (std::int64_t i = lo; i < hi; ++i) y[i] = x[i] + beta * y[i];
                     });
 }
 
 void scale(Vec& a, double alpha) {
   par::parallel_for(0, static_cast<std::int64_t>(a.size()), par::kVecGrain,
                     [&](std::int64_t lo, std::int64_t hi) {
-                      simd::scale(a.data() + lo, alpha, hi - lo);
+                      for (std::int64_t i = lo; i < hi; ++i) a[i] *= alpha;
                     });
 }
 
@@ -73,8 +88,7 @@ Vec subtract(const Vec& a, const Vec& b) {
   Vec out(a.size());
   par::parallel_for(0, static_cast<std::int64_t>(a.size()), par::kVecGrain,
                     [&](std::int64_t lo, std::int64_t hi) {
-                      simd::subtract(a.data() + lo, b.data() + lo, out.data() + lo,
-                                     hi - lo);
+                      for (std::int64_t i = lo; i < hi; ++i) out[i] = a[i] - b[i];
                     });
   return out;
 }

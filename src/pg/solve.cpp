@@ -40,16 +40,13 @@ PgSolution PgSolver::solve_golden(double rel_tolerance) const {
   return sol;
 }
 
-PgSolution PgSolver::solve_rough(int iterations,
-                                 solver::PrecisionMode precision) const {
+PgSolution PgSolver::solve_rough(int iterations) const {
   obs::ScopedSpan span("rough_solve", "pg");
   span.add_arg("iterations", iterations);
   span.add_arg("warm_start", 0);  // flat supply guess
-  span.add_arg("precision_mode", static_cast<double>(precision));
   obs::count("pg.solves.rough");
   const linalg::Vec x0 = flat_supply_guess();
-  PgSolution sol =
-      finalize(solver_->solve_rough(mna_.rhs, iterations, &x0, precision));
+  PgSolution sol = finalize(solver_->solve_rough(mna_.rhs, iterations, &x0));
   span.add_arg("final_relative_residual", sol.final_relative_residual);
   return sol;
 }

@@ -15,7 +15,6 @@
 
 #include "common/grid2d.hpp"
 #include "pg/design.hpp"
-#include "solver/solve_result.hpp"
 
 namespace irf::serve {
 
@@ -176,14 +175,6 @@ struct EngineOptions {
   /// How many resistor value edits still count as an incremental delta;
   /// larger edit sets force the cold path.
   int max_stamp_edits = 8;
-
-  /// Preconditioner arithmetic for the COLD rough solve (the map that feeds
-  /// the ML refiner). kMixed applies the AMG preconditioner through an fp32
-  /// mirror — same fp64 outer iteration, cheaper cycles (see
-  /// docs/PERFORMANCE.md "Precision modes"). Golden solves and the
-  /// warm-start path always stay on the bit-identical fp64 path regardless:
-  /// the 1e-8 warm-vs-cold contract is defined against fp64.
-  solver::PrecisionMode precision_mode = solver::PrecisionMode::kFp64;
 
   /// Flight recorder: ring capacity of recent engine events (submit /
   /// dequeue / respond / degraded / deadline_missed / warm_fallback /

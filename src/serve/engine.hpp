@@ -228,10 +228,10 @@ class Engine {
   // docs/ANALYSIS.md). submit_impl counts the submission under cache_mutex_
   // while still holding the queue mutex (so completed <= submitted holds at
   // every observation point), and cache_mutex_ is held across CacheEntry
-  // footprint accounting, which reaches the solver's fp32-mirror lock and
-  // the matrix's SELL-cache lock (csr.cache_mu_ is the global leaf). Under
-  // a Router, router.mutex_ sits above engine.mutex_ (see router.cpp).
-  // irf-lock-order: engine.mutex_ < engine.cache_mutex_ < amg_pcg.fp32_mu_ < csr.cache_mu_
+  // footprint accounting, which reaches the matrix's diagonal-cache lock
+  // (csr.cache_mu_ is the global leaf). Under a Router, router.mutex_ sits
+  // above engine.mutex_ (see router.cpp).
+  // irf-lock-order: engine.mutex_ < engine.cache_mutex_ < csr.cache_mu_
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;
   std::condition_variable space_cv_;

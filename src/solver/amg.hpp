@@ -62,11 +62,6 @@ class AmgHierarchy final : public Preconditioner {
   const AmgLevel& level(int i) const { return levels_.at(static_cast<std::size_t>(i)); }
   const AmgOptions& options() const { return options_; }
 
-  /// Dense Cholesky factorization of the coarsest operator. Shared with the
-  /// fp32 mirror (solver/precision.hpp), which widens through fp64 for the
-  /// direct solve.
-  const linalg::CholeskyFactor& coarse_solver() const { return *coarse_solver_; }
-
   /// Grid complexity: sum of unknowns across levels / fine unknowns.
   double grid_complexity() const;
   /// Operator complexity: sum of nnz across levels / fine nnz.

@@ -17,40 +17,21 @@ AmgPcgSolver::AmgPcgSolver(const linalg::CsrMatrix& a, AmgOptions amg_options)
 
 SolveResult AmgPcgSolver::solve(const linalg::Vec& b, const SolveOptions& options,
                                 const linalg::Vec* x0) const {
-  Preconditioner& precond = options.precision == PrecisionMode::kMixed
-                                ? static_cast<Preconditioner&>(fp32_preconditioner())
-                                : static_cast<Preconditioner&>(*hierarchy_);
-  SolveResult result = preconditioned_cg(matrix_, b, precond, options, x0);
+  SolveResult result = preconditioned_cg(matrix_, b, *hierarchy_, options, x0);
   result.setup_seconds = setup_seconds_;
   return result;
 }
 
 SolveResult AmgPcgSolver::solve_rough(const linalg::Vec& b, int iterations,
-                                      const linalg::Vec* x0,
-                                      PrecisionMode precision) const {
+                                      const linalg::Vec* x0) const {
   SolveOptions options;
   options.max_iterations = iterations;
   options.rel_tolerance = 0.0;  // never stop early: iteration count is the contract
-  options.precision = precision;
   return solve(b, options, x0);
 }
 
-Fp32Hierarchy& AmgPcgSolver::fp32_preconditioner() const {
-  std::scoped_lock lock(fp32_mu_);
-  if (!fp32_) fp32_ = std::make_unique<Fp32Hierarchy>(*hierarchy_);
-  return *fp32_;
-}
-
-bool AmgPcgSolver::has_fp32_mirror() const {
-  std::scoped_lock lock(fp32_mu_);
-  return fp32_ != nullptr;
-}
-
 std::size_t AmgPcgSolver::memory_bytes() const {
-  std::size_t bytes = matrix_.memory_bytes() + hierarchy_->memory_bytes();
-  std::scoped_lock lock(fp32_mu_);
-  if (fp32_) bytes += fp32_->memory_bytes();
-  return bytes;
+  return matrix_.memory_bytes() + hierarchy_->memory_bytes();
 }
 
 SolveResult AmgPcgSolver::solve_golden(const linalg::Vec& b, double rel_tolerance,
@@ -75,17 +56,8 @@ void AmgPcgSolver::update_matrix_values(const linalg::CsrMatrix& a) {
         "update_matrix_values: sparsity pattern differs from the setup matrix; "
         "the AMG hierarchy cannot be reused (rebuild the solver)");
   }
-  // mutable_values() drops the matrix's cached SELL layout and diagonal
-  // values at call time, so the next SIMD SpMV rebuilds against the new
-  // conductances instead of multiplying stale slices.
+  // mutable_values() drops the matrix's cached diagonal values at call time.
   matrix_.mutable_values() = a.values();
-  {
-    // The fp32 mirror is derived from the (frozen) hierarchy; dropping it on
-    // rebind keeps one invalidation rule for all derived state and lets the
-    // next mixed solve rebuild lazily.
-    std::scoped_lock lock(fp32_mu_);
-    fp32_.reset();
-  }
   obs::count("solver.hierarchy_reuses");
 }
 

@@ -1,6 +1,6 @@
 // Tests for the irf::check correctness layer itself: the runtime gate, the
-// invariant macros, the CSR structural validator, the write-detection guard,
-// and the project lint rules. The gate is forced on/off explicitly so these
+// invariant macros, the CSR structural validator, the pool's chunk-claim
+// guard, and the project lint rules. The gate is forced on/off explicitly so these
 // tests behave identically in every build configuration (default, sanitizer,
 // and -DIRF_DEBUG_CHECKS=ON trees).
 
@@ -14,7 +14,6 @@
 #include "check/check.hpp"
 #include "check/invariants.hpp"
 #include "check/lint.hpp"
-#include "check/write_guard.hpp"
 #include "linalg/csr.hpp"
 #include "nn/tensor.hpp"
 #include "par/par.hpp"
@@ -180,59 +179,7 @@ TEST_F(ChecksOn, FromTripletsAcceptsValidStamping) {
 }
 
 // ---------------------------------------------------------------------------
-// RangeWriteGuard
-
-TEST_F(ChecksOn, WriteGuardCleanWritesPass) {
-  check::RangeWriteGuard guard(8);
-  guard.new_epoch();
-  for (std::int64_t i = 0; i < 8; ++i) guard.note_write(/*writer=*/i % 2, i);
-  // Each index written once — writer identity does not matter for one write.
-  EXPECT_FALSE(guard.violated());
-  EXPECT_NO_THROW(guard.finish("clean region"));
-}
-
-TEST_F(ChecksOn, WriteGuardFlagsCrossWriterConflict) {
-  check::RangeWriteGuard guard(4);
-  guard.new_epoch();
-  guard.note_write(0, 2);
-  guard.note_write(1, 2);  // different writer, same index, same epoch
-  EXPECT_TRUE(guard.violated());
-  try {
-    guard.finish("feature scatter");
-    FAIL() << "finish() did not throw";
-  } catch (const CheckError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("feature scatter"), std::string::npos) << what;
-    EXPECT_NE(what.find("2"), std::string::npos) << what;
-  }
-}
-
-TEST_F(ChecksOn, WriteGuardSameWriterMayRewrite) {
-  check::RangeWriteGuard guard(4);
-  guard.new_epoch();
-  guard.note_write(3, 1);
-  guard.note_write(3, 1);  // idempotent re-write by the owning chunk
-  EXPECT_FALSE(guard.violated());
-}
-
-TEST_F(ChecksOn, WriteGuardEpochResetInvalidatesOldStamps) {
-  check::RangeWriteGuard guard(4);
-  guard.new_epoch();
-  guard.note_write(0, 1);
-  guard.new_epoch();
-  guard.note_write(1, 1);  // different writer but a new region — fine
-  EXPECT_FALSE(guard.violated());
-}
-
-TEST_F(ChecksOn, WriteGuardIsNoOpWhenDisabled) {
-  check::set_enabled(false);
-  check::RangeWriteGuard guard(4);
-  guard.new_epoch();
-  guard.note_write(0, 1);
-  guard.note_write(1, 1);
-  EXPECT_FALSE(guard.violated());
-  EXPECT_NO_THROW(guard.finish("gate off"));
-}
+// Pool chunk-claim guard
 
 TEST_F(ChecksOn, ParallelForRunsCleanUnderChunkClaimGuard) {
   // The pool's epoch-stamped chunk-claim guard is active because the gate is

@@ -170,6 +170,35 @@ TEST(CsrMatrix, IdentityMultiply) {
   for (int i = 0; i < 4; ++i) EXPECT_DOUBLE_EQ(y[i], x[i]);
 }
 
+TEST(CsrCache, MutableValuesInvalidatesCachedDiagonal) {
+  CsrMatrix a = laplacian_1d(30);
+  const Vec before = a.cached_diagonal();         // builds + caches
+  for (double& v : a.mutable_values()) v *= 2.0;  // must drop the cached values
+  const Vec& after = a.cached_diagonal();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < after.size(); ++i) EXPECT_EQ(after[i], 2.0 * before[i]);
+}
+
+TEST(CsrCache, MemoryBytesCountsTheDiagonalCache) {
+  const CsrMatrix a = laplacian_1d(400);
+  const std::size_t before = a.memory_bytes();
+  (void)a.cached_diagonal();  // builds the lazy diagonal caches
+  EXPECT_GT(a.memory_bytes(), before);
+}
+
+TEST(CsrCache, CopyAndMoveDropCaches) {
+  CsrMatrix a = laplacian_1d(200);
+  const Vec diag = a.cached_diagonal();  // warm the cache
+
+  CsrMatrix copy = a;  // caches are not copied, results still identical
+  EXPECT_EQ(copy.cached_diagonal(), diag);
+
+  CsrMatrix moved = std::move(copy);
+  EXPECT_EQ(moved.cached_diagonal(), diag);
+  EXPECT_EQ(copy.rows(), 0);  // the moved-from source keeps no arrays or caches
+  EXPECT_TRUE(copy.cached_diagonal().empty());
+}
+
 TEST(Cholesky, SolvesSpdSystem) {
   CsrMatrix a = laplacian_1d(10);
   CholeskyFactor chol(DenseMatrix::from_csr(a));

@@ -144,29 +144,6 @@ TEST_F(PipelineFixture, DiagnosticsDecomposePrediction) {
   }
 }
 
-TEST_F(PipelineFixture, TiledAnalysisOfLargerDesign) {
-  IrFusionPipeline pipeline(tiny_pipeline_config());
-  pipeline.fit(set_->train);
-
-  // A design twice the training resolution, analyzed by tiling.
-  Rng rng(404);
-  pg::PgDesign big = pg::generate_real_design(64, rng, "big");
-  GridF tiled = pipeline.analyze_tiled(big, 64);
-  EXPECT_EQ(tiled.height(), 64);
-
-  // Accuracy: close to the golden map (residual basis keeps tiling honest).
-  pg::PgSolution golden = pg::golden_solve(big);
-  GridF golden_map = features::label_map(big, golden, 64);
-  train::MapMetrics m = train::evaluate_map(tiled, golden_map);
-  EXPECT_LT(m.mae, 0.2 * golden_map.max_value());
-  for (float v : tiled.data()) EXPECT_TRUE(std::isfinite(v));
-
-  // Validation.
-  EXPECT_THROW(pipeline.analyze_tiled(big, 16), ConfigError);
-  EXPECT_THROW(pipeline.analyze_tiled(big, 50), ConfigError);
-  EXPECT_THROW(pipeline.analyze_tiled(big, 64, 32), ConfigError);
-}
-
 TEST_F(PipelineFixture, EvaluateRejectsEmpty) {
   IrFusionPipeline pipeline(tiny_pipeline_config());
   EXPECT_THROW(pipeline.fit({}), ConfigError);

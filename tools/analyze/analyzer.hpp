@@ -48,7 +48,7 @@ struct Finding {
 ///   serve  = *                    # top: may depend on anything
 ///
 ///   [private]
-///   simd/kernels.inc              # only includable from inside simd/
+///   module/impl.inc               # only includable from inside module/
 struct LayerTable {
   struct Entry {
     std::vector<std::string> deps;
