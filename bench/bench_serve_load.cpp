@@ -1,30 +1,44 @@
 // Sharded-serving load benchmark: open-loop Poisson arrivals over a mixed
-// design population, swept across router shard counts {1, 2, 4}. At the same
-// offered load, each configuration's p99 latency and throughput are recorded
-// relative to the single-engine baseline. The ratios are never enforced:
+// design population, swept across router shard counts {1, 2, 4} plus one
+// equal-budget single engine. At the same offered load, each configuration's
+// p99 latency and throughput are recorded relative to the single-shard
+// baseline. The ratios are never enforced:
 // speed is compared with interleaved perfbench pairs, not with a
 // host-dependent bar. The bench exits non-zero only when the single-shard
 // baseline is missing or the stats invariant breaks.
 //
-// Why sharding wins here: every shard runs the same per-shard LRU budget,
-// sized so the whole population does NOT fit in one shard but DOES fit
-// once the router partitions it by design hash. The single-engine baseline
-// therefore thrashes (every request pays the numerical stage again), while
-// the sharded configurations serve steady-state cache hits — the
-// shard-local-LRU property the router exists to provide. The offered rate
-// is calibrated between the measured single-shard and two-shard capacities
-// (geometric mean), so the baseline saturates while the sharded configs
-// keep headroom; the same pre-generated arrival schedule, design sequence
-// and priority mix are replayed against every configuration.
+// Why sharding wins here: two effects, separated by the last entry.
+//
+//  * Cache partitioning. Every shard runs the same per-shard LRU budget,
+//    sized so the whole population does NOT fit in one shard but DOES fit
+//    once the router partitions it by design hash. The single-shard
+//    baseline therefore thrashes (every request pays the numerical stage
+//    again), while 2 and 4 shards serve steady-state cache hits. This part
+//    of the win is N x the cache budget, not the router.
+//  * Dispatcher parallelism. The last entry is one engine holding the
+//    2-shard configuration's total budget, with one extra pool worker so
+//    it has as many compute threads as the 2-shard entry. It fits the
+//    whole population too (same hit rate, 0 evictions), so what remains of
+//    the gap is parallelism: two dispatchers serve independent batches at
+//    once, while one dispatcher's pool worker speeds up little at these
+//    grid sizes. On a 4-vCPU host (three runs, IRF_THREADS=1) the thrashing
+//    baseline had p50 0.5-0.9 s, the equal-budget engine 12-49 ms and the
+//    2-shard router 4.7-5.2 ms.
+//
+// The offered rate is calibrated between the measured single-shard and
+// two-shard capacities (geometric mean), so the baseline saturates while
+// the sharded configs keep headroom; the same pre-generated arrival
+// schedule, design sequence and priority mix are replayed against every
+// configuration.
 //
 // Latency is anchored at the SCHEDULED arrival, not the actual submit: a
 // submitter stalled by backpressure counts the stall into every later
 // request's latency (no coordinated omission).
 //
-// Writes BENCH_serve_load.json (one entry per shard count, plus the
-// calibration block and the obs metrics snapshot with the serve.router.*
-// counters). Pass --quick for the CI-sized run (the ctest artifact check
-// uses it).
+// Writes BENCH_serve_load.json (one entry per configuration with its total
+// cache budget and thread counts, plus the calibration block and the obs
+// metrics snapshot). Pass --quick for the CI-sized run (the ctest artifact
+// check uses it).
 
 #include <algorithm>
 #include <array>
@@ -59,14 +73,17 @@ struct Sizes {
 
 struct Entry {
   int shards = 0;
+  std::size_t total_cache_budget_bytes = 0;  ///< shards x per-shard budget
+  int pool_threads = 0;                      ///< irf::par pool width
+  /// Threads that can run compute at once: one dispatcher per shard plus
+  /// the shared pool's extra workers (pool width - 1).
+  int compute_threads = 0;
   int requests = 0;
   double offered_rps = 0.0;     ///< Poisson arrival rate replayed
   double throughput_rps = 0.0;  ///< served maps / wall time
   double e2e_p50_seconds = 0.0;
   double e2e_p99_seconds = 0.0;
   double cache_hit_rate = 0.0;
-  std::uint64_t steals = 0;
-  std::uint64_t stolen_requests = 0;
   std::uint64_t shed = 0;
   std::uint64_t evictions = 0;
   int served = 0;
@@ -171,7 +188,8 @@ double measure_capacity(Router& router,
 }
 
 /// One open-loop measured configuration: replay the arrival schedule +
-/// priority mix against a fresh router with `shards` shards.
+/// priority mix against a fresh router with `shards` shards, each holding
+/// `budget_bytes`, at the current pool width.
 Entry run_config(const std::string& checkpoint, int shards, std::size_t budget_bytes,
                  const std::vector<std::shared_ptr<const pg::PgDesign>>& designs,
                  const std::vector<double>& schedule,
@@ -206,6 +224,9 @@ Entry run_config(const std::string& checkpoint, int shards, std::size_t budget_b
 
   Entry e;
   e.shards = shards;
+  e.total_cache_budget_bytes = budget_bytes * static_cast<std::size_t>(shards);
+  e.pool_threads = par::num_threads();
+  e.compute_threads = shards + e.pool_threads - 1;
   e.requests = requests;
   e.offered_rps = offered_rps;
   std::vector<double> latencies;
@@ -228,15 +249,13 @@ Entry run_config(const std::string& checkpoint, int shards, std::size_t budget_b
   };
   e.e2e_p50_seconds = quantile(0.50);
   e.e2e_p99_seconds = quantile(0.99);
-  const RouterStats rs = router->router_stats();
-  const std::uint64_t lookups = rs.total.cache_hits + rs.total.cache_misses;
+  const EngineStats total = router->stats();
+  const std::uint64_t lookups = total.cache_hits + total.cache_misses;
   e.cache_hit_rate =
-      lookups > 0 ? static_cast<double>(rs.total.cache_hits) / lookups : 0.0;
-  e.steals = rs.steals;
-  e.stolen_requests = rs.stolen_requests;
-  e.shed = rs.total.shed;
-  e.evictions = rs.total.cache_evictions;
-  if (rs.total.completed > rs.total.submitted) std::abort();  // stats invariant
+      lookups > 0 ? static_cast<double>(total.cache_hits) / lookups : 0.0;
+  e.shed = total.shed;
+  e.evictions = total.cache_evictions;
+  if (total.completed > total.submitted) std::abort();  // stats invariant
   return e;
 }
 
@@ -254,15 +273,17 @@ void write_json(const std::vector<Entry>& entries, double c1_rps, double c2_rps,
     << "  \"entries\": [\n";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const Entry& e = entries[i];
-    f << "    {\"shards\": " << e.shards << ", \"requests\": " << e.requests
+    f << "    {\"shards\": " << e.shards
+      << ", \"total_cache_budget_bytes\": " << e.total_cache_budget_bytes
+      << ", \"pool_threads\": " << e.pool_threads
+      << ", \"compute_threads\": " << e.compute_threads
+      << ", \"requests\": " << e.requests
       << ", \"served\": " << e.served
       << ", \"offered_rps\": " << obs::json_number(e.offered_rps)
       << ", \"throughput_rps\": " << obs::json_number(e.throughput_rps)
       << ", \"e2e_p50_seconds\": " << obs::json_number(e.e2e_p50_seconds)
       << ", \"e2e_p99_seconds\": " << obs::json_number(e.e2e_p99_seconds)
       << ", \"cache_hit_rate\": " << obs::json_number(e.cache_hit_rate)
-      << ", \"steals\": " << e.steals
-      << ", \"stolen_requests\": " << e.stolen_requests
       << ", \"shed\": " << e.shed << ", \"evictions\": " << e.evictions
       << ", \"throughput_over_single\": " << obs::json_number(e.throughput_over_single)
       << ", \"p99_over_single\": " << obs::json_number(e.p99_over_single) << "}"
@@ -283,7 +304,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  obs::set_metrics_enabled(true);  // serve.* / serve.router.* go into the artifact
+  obs::set_metrics_enabled(true);  // serve.* / serve.shard.* go into the artifact
 
   const auto designs = make_population(sz);
   IrFusionPipeline pipeline = train_pipeline(sz, designs);
@@ -343,8 +364,19 @@ int main(int argc, char** argv) {
     entries.push_back(
         run_config(checkpoint, shards, budget, designs, schedule, priorities, offered));
   }
-  const auto single = std::find_if(entries.begin(), entries.end(),
-                                   [](const Entry& e) { return e.shards == 1; });
+  // Equal-budget, equal-threads comparison for the 2-shard entry: one engine
+  // holding both shards' budget, with one extra pool worker standing in for
+  // the second dispatcher. Recorded, not enforced.
+  const int pool_threads = par::num_threads();
+  par::set_num_threads(pool_threads + 1);
+  entries.push_back(
+      run_config(checkpoint, 1, 2 * budget, designs, schedule, priorities, offered));
+  par::set_num_threads(pool_threads);
+
+  const auto single =
+      std::find_if(entries.begin(), entries.end(), [&](const Entry& e) {
+        return e.shards == 1 && e.total_cache_budget_bytes == budget;
+      });
   if (single == entries.end()) {
     std::cerr << "FAIL: no single-shard baseline entry\n";
     return 1;
@@ -355,13 +387,14 @@ int main(int argc, char** argv) {
   }
   write_json(entries, c1, c2, offered, budget);
 
-  std::cout << "shards   requests   served      req/s     p50_ms     p99_ms  hit_rate  steals  shed"
-               "  tput/1  p99/1\n";
+  std::cout << "shards  budget_KiB  threads   served      req/s     p50_ms     p99_ms"
+               "  hit_rate  evict  shed  tput/1  p99/1\n";
   for (const Entry& e : entries) {
-    std::printf("%6d %10d %8d %10.1f %10.2f %10.2f %9.3f %7llu %5llu %7.2f %6.2f\n",
-                e.shards, e.requests, e.served, e.throughput_rps, e.e2e_p50_seconds * 1e3,
+    std::printf("%6d %11.0f %8d %8d %10.1f %10.2f %10.2f %9.3f %6llu %5llu %7.2f %6.2f\n",
+                e.shards, e.total_cache_budget_bytes / 1024.0, e.compute_threads,
+                e.served, e.throughput_rps, e.e2e_p50_seconds * 1e3,
                 e.e2e_p99_seconds * 1e3, e.cache_hit_rate,
-                static_cast<unsigned long long>(e.steals),
+                static_cast<unsigned long long>(e.evictions),
                 static_cast<unsigned long long>(e.shed), e.throughput_over_single,
                 e.p99_over_single);
   }

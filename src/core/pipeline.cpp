@@ -8,7 +8,6 @@
 #include "check/check.hpp"
 #include "common/bytes.hpp"
 #include "common/error.hpp"
-#include "features/extractor.hpp"
 #include "models/unet.hpp"
 #include "nn/serialize.hpp"
 #include "obs/metrics.hpp"
@@ -138,18 +137,8 @@ IrFusionPipeline::Diagnostics IrFusionPipeline::analyze_with_diagnostics(
   // Fusion stage: hierarchical numerical-structural features + inference;
   // feature_extract and infer spans nest inside it.
   obs::ScopedSpan fusion_span("fusion_stage", "pipeline");
-  features::FeatureOptions opts;
-  opts.image_size = config_.image_size;
-  opts.hierarchical = true;
-  opts.include_numerical = true;
-  Sample sample;
-  sample.design_name = design.name;
-  sample.kind = design.kind;
-  sample.hier = features::extract_features(design, &rough, opts);
-  opts.hierarchical = false;
-  sample.flat = features::extract_features(design, &rough, opts);
+  Sample sample = train::fused_sample(design, rough, config_.image_size);
   sample.label = GridF(config_.image_size, config_.image_size, 0.0f);  // unused
-  sample.rough_bottom = features::label_map(design, rough, config_.image_size);
 
   diag.rough = sample.rough_bottom;
   diag.prediction = predict(sample);

@@ -53,7 +53,6 @@ using serve::Priority;
 using serve::ResultStatus;
 using serve::Router;
 using serve::RouterOptions;
-using serve::RouterStats;
 using serve::design_content_hash;
 using serve::is_checkpoint_file;
 using serve::load_checkpoint;

@@ -1,9 +1,8 @@
 #include "linalg/smoothers.hpp"
 
-#include <cmath>
+#include <string>
 
 #include "common/error.hpp"
-#include "par/par.hpp"
 
 namespace irf::linalg {
 
@@ -14,29 +13,7 @@ void check_sizes(const CsrMatrix& a, const Vec& b, const Vec& x) {
     throw DimensionError("smoother vector size mismatch");
   }
 }
-}  // namespace
 
-void jacobi_sweep(const CsrMatrix& a, const Vec& b, Vec& x, double omega) {
-  check_sizes(a, b, x);
-  // Jacobi reads the old iterate everywhere, so rows update independently:
-  // this is the parallel-safe relaxation (Gauss-Seidel below is sequential
-  // by construction). The residual SpMV parallelizes inside multiply(); the
-  // diagonal comes from the matrix's cache instead of a per-sweep search,
-  // with a zero scan up front so the update loop itself is branch-free and
-  // vectorizes.
-  Vec r = subtract(b, a.multiply(x));
-  const Vec& diag = a.cached_diagonal();
-  for (int i = 0; i < a.rows(); ++i) {
-    if (diag[i] == 0.0) {
-      throw NumericError("jacobi: zero diagonal at row " + std::to_string(i));
-    }
-  }
-  par::parallel_for(0, a.rows(), par::kRowGrain, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) x[i] += omega * r[i] / diag[i];
-  });
-}
-
-namespace {
 void gs_sweep(const CsrMatrix& a, const Vec& b, Vec& x, bool forward) {
   check_sizes(a, b, x);
   const auto& rp = a.row_ptr();

@@ -1,16 +1,13 @@
 #pragma once
 
 /// \file smoothers.hpp
-/// Stationary smoothers used inside the AMG cycles (and as stand-alone
-/// baseline relaxation methods in the solver benchmarks).
+/// Gauss-Seidel smoothers used inside the AMG cycles (and benchmarked on
+/// their own in bench_solver_micro).
 
 #include "linalg/csr.hpp"
 #include "linalg/vector_ops.hpp"
 
 namespace irf::linalg {
-
-/// One weighted Jacobi sweep: x <- x + omega D^{-1} (b - A x).
-void jacobi_sweep(const CsrMatrix& a, const Vec& b, Vec& x, double omega = 2.0 / 3.0);
 
 /// One forward Gauss-Seidel sweep (ascending row order).
 void gauss_seidel_forward(const CsrMatrix& a, const Vec& b, Vec& x);

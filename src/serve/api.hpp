@@ -112,7 +112,6 @@ struct AnalysisResult {
   /// kOk/kDegraded it equals the NN-forward / degraded cohort; requests
   /// that fail or time out inside the batch report the batch they rode in.
   int batch_size = 0;
-  int shard = 0;                  ///< index of the engine shard that served it
   std::uint64_t design_hash = 0;  ///< content hash used as the cache key
   std::string design_name;
 

@@ -13,6 +13,7 @@
 #include "pg/delta.hpp"
 #include "serve/checkpoint.hpp"
 #include "train/normalizer.hpp"
+#include "train/sample.hpp"
 
 namespace irf::serve {
 
@@ -127,7 +128,7 @@ void Engine::start() {
   dispatcher_ = std::thread([this] { run_dispatcher(); });
 }
 
-void Engine::stop_dispatcher() {
+Engine::~Engine() {
   {
     std::lock_guard<std::mutex> lk(mutex_);
     stop_ = true;
@@ -135,10 +136,6 @@ void Engine::stop_dispatcher() {
   work_cv_.notify_all();
   space_cv_.notify_all();
   if (dispatcher_.joinable()) dispatcher_.join();
-}
-
-Engine::~Engine() {
-  stop_dispatcher();
   // Anything still queued resolves as cancelled so waiters never hang.
   std::deque<std::shared_ptr<Pending>> leftover;
   {
@@ -276,70 +273,10 @@ std::optional<Engine::Ticket> Engine::submit_impl(AnalysisRequest request,
   return ticket;
 }
 
-void Engine::configure_shard(int shard_index, std::uint64_t first_id,
-                             std::uint64_t id_step) {
+void Engine::configure_shard(std::uint64_t first_id, std::uint64_t id_step) {
   std::lock_guard<std::mutex> lk(mutex_);
-  shard_index_ = shard_index;
   next_id_ = first_id;
   id_step_ = id_step;
-}
-
-void Engine::set_steal_source(std::function<void()> source) {
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    steal_source_ = std::move(source);
-  }
-  // Wake a dispatcher parked in the hookless wait so it re-evaluates and
-  // starts polling for steal opportunities.
-  work_cv_.notify_all();
-}
-
-void Engine::clear_steal_source() {
-  std::unique_lock<std::mutex> lk(mutex_);
-  steal_source_ = nullptr;
-  hook_cv_.wait(lk, [&] { return !hook_running_; });
-}
-
-std::vector<std::shared_ptr<Engine::Pending>> Engine::take_pending(int max_n) {
-  std::vector<std::shared_ptr<Pending>> taken;
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    if (stop_ || max_n <= 0) return taken;
-    const int n = std::min<int>(max_n, static_cast<int>(queue_.size()));
-    if (n == 0) return taken;
-    taken.assign(queue_.begin(), queue_.begin() + n);
-    queue_.erase(queue_.begin(), queue_.begin() + n);
-    obs::set_gauge("serve.queue.depth", static_cast<double>(queue_.size()));
-  }
-  space_cv_.notify_all();
-  return taken;
-}
-
-void Engine::inject_pending(std::vector<std::shared_ptr<Pending>> items) {
-  if (items.empty()) return;
-  std::vector<std::shared_ptr<Pending>> orphans;
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    if (stop_) {
-      orphans = std::move(items);
-    } else {
-      // Stolen work is older than anything admitted locally: keep it at
-      // the head so cross-shard moves never reorder a request behind
-      // younger traffic. Capacity may be transiently exceeded — these
-      // requests were already admitted on their home shard.
-      for (auto it = items.rbegin(); it != items.rend(); ++it) {
-        queue_.push_front(std::move(*it));
-      }
-      obs::set_gauge("serve.queue.depth", static_cast<double>(queue_.size()));
-    }
-  }
-  if (!orphans.empty()) {
-    for (const std::shared_ptr<Pending>& p : orphans) {
-      fulfil_without_service(p, ResultStatus::kCancelled, nullptr);
-    }
-    return;
-  }
-  work_cv_.notify_one();
 }
 
 AnalysisResult Engine::analyze(const pg::PgDesign& design) {
@@ -415,34 +352,8 @@ void Engine::run_dispatcher() {
     std::vector<std::shared_ptr<Pending>> batch;
     {
       std::unique_lock<std::mutex> lk(mutex_);
-      for (;;) {
-        if (stop_) return;
-        if (!paused_ && !queue_.empty()) break;
-        if (steal_source_ && !paused_ && queue_.empty()) {
-          // Idle shard under a Router: ask for work from a hotter sibling.
-          // The callback runs with our lock released (it re-enters through
-          // inject_pending); hook_running_ lets clear_steal_source() wait
-          // out an in-flight invocation. A short bounded backoff replaces
-          // the unbounded sleep while a source is installed.
-          std::function<void()> source = steal_source_;
-          hook_running_ = true;
-          lk.unlock();
-          source();
-          lk.lock();
-          hook_running_ = false;
-          hook_cv_.notify_all();
-          if (stop_) return;
-          if (!paused_ && !queue_.empty()) break;
-          work_cv_.wait_for(lk, steal_backoff_, [&] {
-            return stop_ || (!paused_ && !queue_.empty());
-          });
-        } else {
-          work_cv_.wait(lk, [&] {
-            return stop_ || (!paused_ && !queue_.empty()) ||
-                   (steal_source_ != nullptr && !paused_ && queue_.empty());
-          });
-        }
-      }
+      work_cv_.wait(lk, [&] { return stop_ || (!paused_ && !queue_.empty()); });
+      if (stop_) return;
       const int take =
           std::min<int>(options_.max_batch, static_cast<int>(queue_.size()));
       batch.assign(queue_.begin(), queue_.begin() + take);
@@ -463,7 +374,6 @@ void Engine::fulfil(Pending& pending, AnalysisResult result) {
   result.submit_unix_seconds = pending.submit_unix_seconds;
   result.queue_depth_at_admission = pending.queue_depth_at_admission;
   const Clock::time_point now = Clock::now();
-  result.shard = shard_index_;
   result.stages.total_seconds = seconds_between(pending.enqueued, now);
   // Completed-work-wins deadline policy: a deadline that expired after the
   // last pre-inference check never discards the finished map, it only gets
@@ -565,21 +475,16 @@ std::shared_ptr<Engine::CacheEntry> Engine::lookup_or_build(
 
   const Clock::time_point feature_start = Clock::now();
   train::Sample& sample = entry->sample;
-  sample.design_name = entry->design->name;
-  sample.kind = entry->design->kind;
   if (pipeline_) {
     // Mirror IrFusionPipeline::analyze exactly: full stacks regardless of
     // the ablation flags (the view() selects channels at inference time).
-    features::FeatureOptions opts;
-    opts.image_size = image_size;
-    opts.hierarchical = true;
-    opts.include_numerical = true;
-    sample.hier = features::extract_features(*entry->design, &rough, opts);
-    opts.hierarchical = false;
-    sample.flat = features::extract_features(*entry->design, &rough, opts);
+    sample = train::fused_sample(*entry->design, rough, image_size);
+  } else {
+    sample.design_name = entry->design->name;
+    sample.kind = entry->design->kind;
+    sample.rough_bottom = features::label_map(*entry->design, rough, image_size);
   }
   sample.label = GridF(image_size, image_size, 0.0f);  // unused by inference
-  sample.rough_bottom = features::label_map(*entry->design, rough, image_size);
   result.stages.feature_seconds = seconds_between(feature_start, Clock::now());
   result.numerical_seconds = span.seconds();
 

@@ -41,7 +41,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -146,13 +145,11 @@ class Engine {
   std::string dump_flight_recorder(const std::string& path = std::string()) const;
 
  private:
-  friend class Router;  // shard wiring: id striding, steal donate/inject
+  friend class Router;  // shard wiring: ticket-id striding
 
   using Clock = std::chrono::steady_clock;
 
-  /// One queued request. Shared between the queue, the dispatcher and — in
-  /// a sharded deployment — a stealing sibling engine, so the Router can
-  /// move a Pending between queues without re-submitting.
+  /// One queued request, shared between the queue and the dispatcher.
   struct Pending {
     std::uint64_t id = 0;
     AnalysisRequest request;
@@ -161,7 +158,7 @@ class Engine {
     Clock::time_point deadline = Clock::time_point::max();
     double submit_unix_seconds = 0.0;  ///< wall-clock anchor for the trace context
     int queue_depth_at_admission = 0;  ///< queue size right after this push
-    bool cancelled = false;  ///< guarded by the owning Engine's mutex_
+    bool cancelled = false;  ///< guarded by mutex_
   };
 
   struct CacheEntry;
@@ -177,31 +174,9 @@ class Engine {
   void fulfil_without_service(const std::shared_ptr<Pending>& pending,
                               ResultStatus status, const char* error);
 
-  // --- Router (sharding) hooks. All private: single-engine users never
-  // see them; the Router is a friend. -----------------------------------
-  /// Stride the ticket-id sequence so ids are unique across shards and
-  /// encode the admitting shard: shard i issues i+1, i+1+n, i+1+2n, ...
-  void configure_shard(int shard_index, std::uint64_t first_id, std::uint64_t id_step);
-  /// Install/remove the idle-steal callback. With a source installed the
-  /// dispatcher, on waking to an empty queue, invokes it (lock released)
-  /// to let the Router move pending work here from a hotter sibling; it
-  /// then polls on a short backoff instead of sleeping unboundedly.
-  void set_steal_source(std::function<void()> source);
-  /// Synchronize with any in-flight steal-source invocation and drop the
-  /// callback. After return the dispatcher will never call it again.
-  void clear_steal_source();
-  /// Detach up to max_n requests from the queue head (oldest first) for a
-  /// stealing sibling. Returns empty when stopped. Wakes space_cv_.
-  std::vector<std::shared_ptr<Pending>> take_pending(int max_n);
-  /// Push stolen requests at the queue head (they are older than anything
-  /// local). Capacity may be transiently exceeded — the work was already
-  /// admitted somewhere. On a stopped engine the requests resolve
-  /// kCancelled instead.
-  void inject_pending(std::vector<std::shared_ptr<Pending>> items);
-  /// Idempotent dispatcher shutdown (what the destructor does first). The
-  /// Router stops every shard's dispatcher before destroying any engine so
-  /// no steal callback can touch a dead sibling.
-  void stop_dispatcher();
+  /// Router hook: stride the ticket-id sequence so ids are unique across
+  /// shards and encode the admitting shard: shard i issues i+1, i+1+n, ...
+  void configure_shard(std::uint64_t first_id, std::uint64_t id_step);
   void process_batch(std::vector<std::shared_ptr<Pending>> batch);
   std::shared_ptr<CacheEntry> lookup_or_build(const AnalysisRequest& request,
                                               AnalysisResult& result);
@@ -229,8 +204,8 @@ class Engine {
   // while still holding the queue mutex (so completed <= submitted holds at
   // every observation point), and cache_mutex_ is held across CacheEntry
   // footprint accounting, which reaches the matrix's diagonal-cache lock
-  // (csr.cache_mu_ is the global leaf). Under a Router, router.mutex_ sits
-  // above engine.mutex_ (see router.cpp).
+  // (csr.cache_mu_ is the global leaf). A Router adds no lock of its own:
+  // every request stays on the shard that admitted it.
   // irf-lock-order: engine.mutex_ < engine.cache_mutex_ < csr.cache_mu_
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;
@@ -240,15 +215,6 @@ class Engine {
   bool paused_ = false;
   std::uint64_t next_id_ = 1;
   std::uint64_t id_step_ = 1;  ///< ticket-id stride (num shards under a Router)
-  int shard_index_ = 0;        ///< stamped into AnalysisResult::shard
-
-  // Idle-steal integration (guarded by mutex_ except where noted). The
-  // callback itself runs with mutex_ released; hook_running_/hook_cv_ let
-  // clear_steal_source() wait out an in-flight invocation.
-  std::function<void()> steal_source_;
-  bool hook_running_ = false;
-  std::condition_variable hook_cv_;
-  std::chrono::milliseconds steal_backoff_{2};
 
   // Cache + stats are only mutated on the dispatcher thread but read from
   // callers; guarded by cache_mutex_.

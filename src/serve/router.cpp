@@ -1,6 +1,5 @@
 #include "serve/router.hpp"
 
-#include <algorithm>
 #include <filesystem>
 #include <sstream>
 #include <utility>
@@ -21,17 +20,14 @@ void validate_router_options(const RouterOptions& options) {
   if (options.num_shards < 1) {
     throw ConfigError("serve: router num_shards must be >= 1");
   }
-  if (options.steal_min_depth < 1) {
-    throw ConfigError("serve: router steal_min_depth must be >= 1");
-  }
 }
 
 /// Clone a fitted pipeline for an extra shard: rebuild the architecture
 /// from its config and copy the full trainable state through an in-memory
 /// stream. The clone's weights are bit-identical, so every shard computes
-/// the same refinement for the same request (the steal bit-identity test
-/// rests on this). The source is non-const only because weight traversal
-/// is a mutable operation on the module tree; it is not modified.
+/// the same refinement for the same request. The source is non-const only
+/// because weight traversal is a mutable operation on the module tree; it
+/// is not modified.
 core::IrFusionPipeline clone_fitted(core::IrFusionPipeline& source) {
   const core::PipelineConfig& config = source.config();
   std::stringstream state(std::ios::in | std::ios::out | std::ios::binary);
@@ -85,17 +81,6 @@ std::unique_ptr<Router> Router::from_checkpoint(const std::string& path,
   return std::make_unique<Router>(load_checkpoint(path), options);
 }
 
-Router::~Router() {
-  // Stop every dispatcher before any engine dies: joining a dispatcher is
-  // the synchronization that guarantees its steal callback — which walks
-  // sibling shards through `this` — can never run against a dead Router
-  // or a destroyed sibling. Engines then drain their leftover queues as
-  // kCancelled in ~Engine as usual.
-  for (const std::unique_ptr<Engine>& shard : shards_) {
-    shard->stop_dispatcher();
-  }
-}
-
 EngineOptions Router::shard_options(int index) const {
   EngineOptions opts = options_.engine;
   if (!opts.flight_dump_path.empty() && options_.num_shards > 1) {
@@ -109,24 +94,13 @@ void Router::wire_shards() {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     // Globally unique, shard-attributable ticket ids: shard i issues
     // i+1, i+1+n, i+1+2n, ... so owner = (id - 1) % n.
-    shards_[i]->configure_shard(static_cast<int>(i),
-                                static_cast<std::uint64_t>(i) + 1, n);
+    shards_[i]->configure_shard(static_cast<std::uint64_t>(i) + 1, n);
     shard_queue_gauges_.push_back("serve.shard.s" + std::to_string(i) +
                                   ".queue.depth");
     shard_cache_gauges_.push_back("serve.shard.s" + std::to_string(i) +
                                   ".cache.bytes");
     obs::set_gauge(shard_queue_gauges_.back(), 0.0);
     obs::set_gauge(shard_cache_gauges_.back(), 0.0);
-  }
-  obs::count("serve.router.requests", 0);
-  obs::count("serve.router.steals", 0);
-  obs::count("serve.router.stolen_requests", 0);
-  obs::count("serve.router.shed", 0);
-  if (options_.enable_stealing && shards_.size() > 1) {
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      const int thief = static_cast<int>(i);
-      shards_[i]->set_steal_source([this, thief] { steal_for(thief); });
-    }
   }
 }
 
@@ -142,14 +116,12 @@ int Router::shard_for(const pg::PgDesign& design) const {
 Engine::Ticket Router::submit(AnalysisRequest request) {
   if (!request.design) throw ConfigError("serve: request has no design");
   Engine& target = *shards_[static_cast<std::size_t>(shard_for(*request.design))];
-  obs::count("serve.router.requests");
   return target.submit(std::move(request));
 }
 
 std::optional<Engine::Ticket> Router::try_submit(AnalysisRequest request) {
   if (!request.design) throw ConfigError("serve: request has no design");
   Engine& target = *shards_[static_cast<std::size_t>(shard_for(*request.design))];
-  obs::count("serve.router.requests");
   return target.try_submit(std::move(request));
 }
 
@@ -162,16 +134,9 @@ AnalysisResult Router::analyze(const pg::PgDesign& design) {
 
 bool Router::cancel(std::uint64_t id) {
   if (id == 0) return false;
-  // The admitting shard is encoded in the id, but stealing may have moved
-  // the request: try the owner first, then every sibling.
   const std::size_t owner =
       static_cast<std::size_t>((id - 1) % static_cast<std::uint64_t>(shards_.size()));
-  if (shards_[owner]->cancel(id)) return true;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (i == owner) continue;
-    if (shards_[i]->cancel(id)) return true;
-  }
-  return false;
+  return shards_[owner]->cancel(id);
 }
 
 void Router::pause() {
@@ -182,48 +147,32 @@ void Router::resume() {
   for (const std::unique_ptr<Engine>& shard : shards_) shard->resume();
 }
 
-EngineStats Router::stats() const { return router_stats().total; }
-
-RouterStats Router::router_stats() const {
-  RouterStats rs;
-  rs.shards.reserve(shards_.size());
-  for (const std::unique_ptr<Engine>& shard : shards_) {
-    rs.shards.push_back(shard->stats());
-  }
-  for (const EngineStats& s : rs.shards) {
-    rs.total.submitted += s.submitted;
-    rs.total.completed += s.completed;
-    rs.total.served_ok += s.served_ok;
-    rs.total.cache_hits += s.cache_hits;
-    rs.total.cache_misses += s.cache_misses;
-    rs.total.cache_evictions += s.cache_evictions;
-    rs.total.warm_hits += s.warm_hits;
-    rs.total.warm_fallbacks += s.warm_fallbacks;
-    rs.total.degraded += s.degraded;
-    rs.total.timeouts += s.timeouts;
-    rs.total.cancelled += s.cancelled;
-    rs.total.failures += s.failures;
-    rs.total.shed += s.shed;
-    rs.total.batches += s.batches;
-    rs.total.cache_bytes += s.cache_bytes;
-    rs.total.cache_entries += s.cache_entries;
-  }
-  std::lock_guard<std::mutex> lk(mutex_);
-  rs.steals = steals_;
-  rs.stolen_requests = stolen_requests_;
-  // Refresh the per-shard gauges on every aggregate observation and emit
-  // the shed counter as a monotonic delta (sheds happen inside shards).
+EngineStats Router::stats() const {
+  EngineStats total;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
+    const EngineStats s = shards_[i]->stats();
+    total.submitted += s.submitted;
+    total.completed += s.completed;
+    total.served_ok += s.served_ok;
+    total.cache_hits += s.cache_hits;
+    total.cache_misses += s.cache_misses;
+    total.cache_evictions += s.cache_evictions;
+    total.warm_hits += s.warm_hits;
+    total.warm_fallbacks += s.warm_fallbacks;
+    total.degraded += s.degraded;
+    total.timeouts += s.timeouts;
+    total.cancelled += s.cancelled;
+    total.failures += s.failures;
+    total.shed += s.shed;
+    total.batches += s.batches;
+    total.cache_bytes += s.cache_bytes;
+    total.cache_entries += s.cache_entries;
+    // Refresh the per-shard gauges on every aggregate observation.
     obs::set_gauge(shard_queue_gauges_[i],
                    static_cast<double>(shards_[i]->queue_depth()));
-    obs::set_gauge(shard_cache_gauges_[i],
-                   static_cast<double>(rs.shards[i].cache_bytes));
+    obs::set_gauge(shard_cache_gauges_[i], static_cast<double>(s.cache_bytes));
   }
-  if (rs.total.shed > shed_reported_) {
-    obs::count("serve.router.shed", rs.total.shed - shed_reported_);
-    shed_reported_ = rs.total.shed;
-  }
-  return rs;
+  return total;
 }
 
 int Router::queue_depth() const {
@@ -248,34 +197,6 @@ bool Router::has_model() const {
 
 void Router::clear_cache() {
   for (const std::unique_ptr<Engine>& shard : shards_) shard->clear_cache();
-}
-
-void Router::steal_for(int thief) {
-  if (shards_.size() < 2) return;
-  // Serializes concurrent steal decisions (and the counters) across
-  // shards; held above the engines' queue locks while probing depths and
-  // moving work — the declared router.mutex_ < engine.mutex_ order.
-  std::lock_guard<std::mutex> lk(mutex_);
-  int victim = -1;
-  int depth = options_.steal_min_depth - 1;
-  for (std::size_t j = 0; j < shards_.size(); ++j) {
-    if (static_cast<int>(j) == thief) continue;
-    const int d = shards_[j]->queue_depth();
-    if (d > depth) {
-      depth = d;
-      victim = static_cast<int>(j);
-    }
-  }
-  if (victim < 0) return;
-  std::vector<std::shared_ptr<Engine::Pending>> taken =
-      shards_[static_cast<std::size_t>(victim)]->take_pending(
-          options_.engine.max_batch);
-  if (taken.empty()) return;
-  ++steals_;
-  stolen_requests_ += taken.size();
-  obs::count("serve.router.steals");
-  obs::count("serve.router.stolen_requests", taken.size());
-  shards_[static_cast<std::size_t>(thief)]->inject_pending(std::move(taken));
 }
 
 }  // namespace irf::serve

@@ -11,30 +11,20 @@
 /// shard-local: sharding never splits a design's amortizable state, it
 /// only partitions the population's working set across shards.
 ///
-/// On top of plain routing the Router adds:
-///
-///  * admission control — per-request Priority classes with per-class
-///    queue quotas and shed-lowest-first on saturation (mechanism lives in
-///    Engine::submit_impl; the Router configures and aggregates it);
-///  * batch coalescing across shards — a shard that wakes to an empty
-///    queue steals up to a batch-worth of pending work from the hottest
-///    sibling (`router.mutex_ < engine.mutex_` lock order, verified by
-///    irf_analyze). Stolen requests keep their tickets, deadlines and
-///    cancellation flags; results are bit-identical to unstolen execution
-///    (tests/test_serve.cpp pins it);
-///  * aggregated observability — Engine-compatible stats() plus a
-///    per-shard breakdown, `serve.shard.s<i>.*` gauges and
-///    `serve.router.*` counters (docs/OBSERVABILITY.md).
+/// A request never leaves the shard that admitted it: it is queued,
+/// served, cancelled and counted there. Admission control (priority
+/// classes, per-class quotas, shed-lowest-first) is each shard's own
+/// Engine::submit_impl. The Router holds no mutable state and no lock; it
+/// adds Engine-compatible aggregate stats() and the `serve.shard.s<i>.*`
+/// gauges (docs/OBSERVABILITY.md).
 ///
 /// The Router exposes the same submit/try_submit/analyze/stats/queue_depth
 /// surface as Engine, so callers scale from one engine to N shards by
-/// swapping the type. Ticket ids stay globally unique (shard i issues
-/// i+1, i+1+N, ...), and cancel() finds a request wherever stealing may
-/// have moved it.
+/// swapping the type. Ticket ids stay globally unique and name their
+/// shard: shard i issues i+1, i+1+N, ...
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -50,29 +40,6 @@ namespace irf::serve {
 struct RouterOptions {
   int num_shards = 2;
   EngineOptions engine;
-
-  /// Work stealing: an idle shard pulls up to max_batch pending requests
-  /// from the hottest sibling instead of sleeping. Affinity is a cache
-  /// optimization, not a correctness requirement, so moving queued work to
-  /// an idle dispatcher is always safe — just potentially a cache miss.
-  bool enable_stealing = true;
-
-  /// Only steal when the hottest sibling has at least this many queued
-  /// requests; below that the victim's own dispatcher is about to drain
-  /// them anyway and the move would only forfeit cache affinity.
-  int steal_min_depth = 2;
-};
-
-/// Aggregated engine counters plus the per-shard breakdown and the
-/// router's own steal bookkeeping. Note that stealing moves a request's
-/// completion to the thief shard: per-shard `completed` can exceed
-/// per-shard `submitted`, while every aggregate invariant
-/// (total.completed <= total.submitted, sums matching) still holds.
-struct RouterStats {
-  EngineStats total;
-  std::vector<EngineStats> shards;
-  std::uint64_t steals = 0;            ///< steal operations that moved work
-  std::uint64_t stolen_requests = 0;   ///< requests moved across shards
 };
 
 class Router {
@@ -92,10 +59,6 @@ class Router {
   static std::unique_ptr<Router> from_checkpoint(const std::string& path,
                                                  RouterOptions options = {});
 
-  /// Stops every shard's dispatcher before destroying any engine — the
-  /// join is what guarantees no steal callback can touch a dead sibling.
-  ~Router();
-
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
@@ -110,20 +73,16 @@ class Router {
   /// Synchronous convenience: copies the design, submits, waits.
   AnalysisResult analyze(const pg::PgDesign& design);
 
-  /// Cancel by ticket id. Checks the admitting shard first, then every
-  /// sibling — stealing may have moved the request.
+  /// Cancel by ticket id on the shard that issued it, (id - 1) % N.
   bool cancel(std::uint64_t id);
 
   /// Pause/resume dispatch on every shard.
   void pause();
   void resume();
 
-  /// Engine-compatible aggregated counters (also refreshes the
-  /// serve.shard.* gauges and the serve.router.shed counter).
+  /// Engine-compatible counters summed over shards (also refreshes the
+  /// serve.shard.* gauges). shard(i).stats() gives one shard's share.
   EngineStats stats() const;
-
-  /// Aggregate + per-shard breakdown + steal counters.
-  RouterStats router_stats() const;
 
   /// Total queued requests across shards.
   int queue_depth() const;
@@ -144,27 +103,10 @@ class Router {
  private:
   void wire_shards();
   EngineOptions shard_options(int index) const;
-  /// Steal callback for shard `thief`: runs on that shard's dispatcher
-  /// thread with no engine lock held.
-  void steal_for(int thief);
 
   RouterOptions options_;
-
-  // Steal serialization + router counters. Held while probing sibling
-  // queue depths and moving work, i.e. above the engines' queue locks.
-  // irf-lock-order: router.mutex_ < engine.mutex_
-  mutable std::mutex mutex_;
-  std::uint64_t steals_ = 0;
-  std::uint64_t stolen_requests_ = 0;
-  /// serve.router.shed is emitted as a delta against the last aggregate
-  /// observation (counters are monotonic; sheds happen inside shards).
-  mutable std::uint64_t shed_reported_ = 0;
-
   std::vector<std::string> shard_queue_gauges_;  ///< serve.shard.s<i>.queue.depth
   std::vector<std::string> shard_cache_gauges_;  ///< serve.shard.s<i>.cache.bytes
-
-  // Destroyed first (reverse member order): every engine joins its
-  // dispatcher inside ~Router before the fields above go away.
   std::vector<std::unique_ptr<Engine>> shards_;
 };
 

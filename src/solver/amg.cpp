@@ -83,13 +83,7 @@ void AmgHierarchy::apply(const Vec& r, Vec& z) {
 }
 
 void AmgHierarchy::smooth(const CsrMatrix& a, const Vec& r, Vec& z, int sweeps) {
-  for (int s = 0; s < sweeps; ++s) {
-    if (options_.smoother == SmootherType::kJacobi) {
-      linalg::jacobi_sweep(a, r, z, options_.jacobi_omega);
-    } else {
-      linalg::symmetric_gauss_seidel(a, r, z);
-    }
-  }
+  for (int s = 0; s < sweeps; ++s) linalg::symmetric_gauss_seidel(a, r, z);
 }
 
 void AmgHierarchy::cycle(int level, const Vec& r, Vec& z) {

@@ -18,24 +18,14 @@ namespace irf::solver {
 
 enum class CycleType { kV, kK };
 
-/// Relaxation used for pre/post smoothing. Symmetric Gauss-Seidel (the
-/// default) gives the strongest per-sweep damping but is inherently
-/// sequential; damped Jacobi updates every row independently, so it is the
-/// parallel-safe choice when the irf::par pool is wide (see
-/// docs/PERFORMANCE.md).
-enum class SmootherType { kSymmetricGaussSeidel, kJacobi };
-
 struct AmgOptions {
   /// Stop coarsening when a level has at most this many unknowns.
   int coarsest_size = 64;
   /// Safety cap on hierarchy depth.
   int max_levels = 20;
-  /// Pre/post smoothing sweeps.
+  /// Pre/post symmetric Gauss-Seidel smoothing sweeps.
   int pre_smooth = 1;
   int post_smooth = 1;
-  SmootherType smoother = SmootherType::kSymmetricGaussSeidel;
-  /// Damping factor for the Jacobi smoother (ignored for Gauss-Seidel).
-  double jacobi_omega = 0.7;
   /// Strength-of-coupling threshold for pairwise aggregation.
   double strength_threshold = 0.25;
   /// Use double pairwise (aggregates up to 4) vs single pairwise (up to 2).

@@ -42,15 +42,4 @@ class JacobiPreconditioner final : public Preconditioner {
   linalg::Vec inv_diag_;
 };
 
-/// M^{-1} = k sweeps of symmetric Gauss-Seidel from a zero initial guess.
-class SgsPreconditioner final : public Preconditioner {
- public:
-  SgsPreconditioner(const linalg::CsrMatrix& a, int sweeps = 1);
-  void apply(const linalg::Vec& r, linalg::Vec& z) override;
-
- private:
-  const linalg::CsrMatrix& a_;
-  int sweeps_;
-};
-
 }  // namespace irf::solver

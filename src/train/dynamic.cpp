@@ -53,25 +53,13 @@ DynamicDesignSet build_dynamic_design_set(const ScaleConfig& config,
 Sample make_dynamic_sample(const DynamicDesign& prepared, int rough_iterations,
                            int image_size) {
   if (rough_iterations < 1) throw ConfigError("rough_iterations must be >= 1");
-  Sample s;
-  s.design_name = prepared.design->name;
-  s.kind = prepared.design->kind;
-
+  // The static rough map (rough_bottom) is the (under-estimating) basis the
+  // fusion model amplifies.
   const pg::PgSolution rough = prepared.solver->solve_rough(rough_iterations);
-
-  features::FeatureOptions hier_opts;
-  hier_opts.image_size = image_size;
-  s.hier = features::extract_features(*prepared.design, &rough, hier_opts);
-  features::FeatureOptions flat_opts = hier_opts;
-  flat_opts.hierarchical = false;
-  s.flat = features::extract_features(*prepared.design, &rough, flat_opts);
-
+  Sample s = fused_sample(*prepared.design, rough, image_size);
   // Dynamic golden label: the transient worst-case envelope.
   s.label = features::bottom_layer_map(*prepared.design, prepared.worst_ir_drop,
                                        image_size);
-  // The static rough map is the (under-estimating) basis the fusion model
-  // amplifies.
-  s.rough_bottom = features::label_map(*prepared.design, rough, image_size);
   return s;
 }
 

@@ -21,6 +21,22 @@ namespace {
 bool is_numerical(const std::string& name) { return name.rfind("num_ir", 0) == 0; }
 }  // namespace
 
+Sample fused_sample(const pg::PgDesign& design, const pg::PgSolution& rough,
+                    int image_size) {
+  Sample s;
+  s.design_name = design.name;
+  s.kind = design.kind;
+  features::FeatureOptions opts;
+  opts.image_size = image_size;
+  opts.hierarchical = true;
+  opts.include_numerical = true;
+  s.hier = features::extract_features(design, &rough, opts);
+  opts.hierarchical = false;
+  s.flat = features::extract_features(design, &rough, opts);
+  s.rough_bottom = features::label_map(design, rough, image_size);
+  return s;
+}
+
 std::vector<std::string> view_channels(const Sample& sample, FeatureView view) {
   std::vector<std::string> out;
   switch (view) {

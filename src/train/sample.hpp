@@ -37,6 +37,14 @@ struct Sample {
   GridF rough_bottom;              ///< rough-solution bottom map (volts)
 };
 
+/// The fused model input of one design at `image_size` px: the hierarchical
+/// and the flat feature stack of the rough solution, plus its bottom-layer
+/// map (rough_bottom). Calls extract_features (hierarchical), extract_features
+/// (flat) and label_map, in that order. `label` stays empty; every caller
+/// sets its own.
+Sample fused_sample(const pg::PgDesign& design, const pg::PgSolution& rough,
+                    int image_size);
+
 /// Channel names of a view, in input order.
 std::vector<std::string> view_channels(const Sample& sample, FeatureView view);
 

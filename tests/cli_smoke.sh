@@ -129,7 +129,7 @@ echo "== serve-load (sharded router, open-loop) =="
   --metrics-out "$WORK/load_metrics.json"
 test -s "$WORK/load_metrics.json"
 "$CLI" json-check "$WORK/load_metrics.json"
-grep -q '"serve.router.requests"' "$WORK/load_metrics.json"
+grep -q '"serve.requests"' "$WORK/load_metrics.json"
 grep -q '"serve.shard.s0.queue.depth"' "$WORK/load_metrics.json"
 # Model-less serve-load degrades instead of failing, like serve-batch.
 "$CLI" serve-load --designs "$WORK/designs" --shards 2 --requests 8

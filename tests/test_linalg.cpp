@@ -222,16 +222,6 @@ TEST(Cholesky, RejectsNonSquare) {
   EXPECT_THROW(CholeskyFactor{m}, DimensionError);
 }
 
-TEST(Smoothers, JacobiReducesResidual) {
-  CsrMatrix a = laplacian_1d(20);
-  Vec b(20, 1.0);
-  Vec x(20, 0.0);
-  double r0 = norm2(subtract(b, a.multiply(x)));
-  for (int s = 0; s < 10; ++s) jacobi_sweep(a, b, x);
-  double r1 = norm2(subtract(b, a.multiply(x)));
-  EXPECT_LT(r1, r0);
-}
-
 TEST(Smoothers, GaussSeidelConvergesOnSmallSystem) {
   CsrMatrix a = laplacian_1d(8);
   CholeskyFactor chol(DenseMatrix::from_csr(a));

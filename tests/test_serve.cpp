@@ -986,9 +986,6 @@ TEST(RouterValidation, RejectsBadOptions) {
   RouterOptions opts;
   opts.num_shards = 0;
   EXPECT_THROW(Router{opts}, ConfigError);
-  opts = RouterOptions{};
-  opts.steal_min_depth = 0;
-  EXPECT_THROW(Router{opts}, ConfigError);
 }
 
 TEST_F(ServeFixture, RouterShardAffinityAndBitIdentity) {
@@ -1006,46 +1003,53 @@ TEST_F(ServeFixture, RouterShardAffinityAndBitIdentity) {
   const auto designs = distinct_topology_designs(4);
   ASSERT_GE(designs.size(), 2u);
   for (const auto& d : designs) {
-    const int expected_shard = router->shard_for(*d);
+    const int home = router->shard_for(*d);
+    const int other = 1 - home;
+    const EngineStats home_before = router->shard(home).stats();
+    const EngineStats other_before = router->shard(other).stats();
     AnalysisResult first = router->analyze(*d);
     ASSERT_TRUE(first.ok()) << first.error;
-    EXPECT_EQ(first.shard, expected_shard);
     // Re-submission sticks to the same shard and hits its LRU entry.
     AnalysisResult again = router->analyze(*d);
-    EXPECT_EQ(again.shard, expected_shard);
     EXPECT_TRUE(again.cache_hit);
+    // Both requests were admitted, served and counted on the home shard.
+    const EngineStats home_after = router->shard(home).stats();
+    const EngineStats other_after = router->shard(other).stats();
+    EXPECT_EQ(home_after.submitted - home_before.submitted, 2u);
+    EXPECT_EQ(home_after.completed - home_before.completed, 2u);
+    EXPECT_EQ(home_after.cache_hits - home_before.cache_hits, 1u);
+    EXPECT_EQ(other_after.submitted, other_before.submitted);
+    EXPECT_EQ(other_after.completed, other_before.completed);
     // Any shard serves bit-identically to a standalone engine: the clones
     // carry the same weights.
     AnalysisResult direct = reference->analyze(*d);
     EXPECT_EQ(first.ir_drop.data(), direct.ir_drop.data());
   }
-  // Ticket ids stay globally unique across shards (strided per shard).
-  const RouterStats rs = router->router_stats();
-  EXPECT_EQ(rs.total.submitted, 2u * designs.size());
-  EXPECT_GE(rs.total.cache_hits, designs.size());
+  const EngineStats total = router->stats();
+  EXPECT_EQ(total.submitted, 2u * designs.size());
+  EXPECT_GE(total.cache_hits, designs.size());
 }
 
-TEST_F(ServeFixture, RouterStealsFromSaturatedSiblingBitIdentically) {
+TEST_F(ServeFixture, RouterKeepsRequestsOnAPausedOwner) {
   RouterOptions ropts;
   ropts.num_shards = 2;
   ropts.engine.enable_warm_start = false;
-  ropts.steal_min_depth = 2;
   auto router = Router::from_checkpoint(*checkpoint_path_, ropts);
 
-  const auto designs = distinct_topology_designs(4);
-  ASSERT_GE(designs.size(), 1u);
+  const auto designs = distinct_topology_designs(1);
+  ASSERT_EQ(designs.size(), 1u);
   const auto& design = designs.front();
   const int owner = router->shard_for(*design);
-  const int thief = 1 - owner;
+  const int sibling = 1 - owner;
 
   EngineOptions eopts;
   eopts.enable_warm_start = false;
   auto reference = Engine::from_checkpoint(*checkpoint_path_, eopts);
   const GridF expected = reference->analyze(*design).ir_drop;
 
-  // Freeze the owning shard so its queue backs up; the idle sibling must
-  // steal the backlog and serve it — bit-identically, since every shard
-  // holds the same weights.
+  // Pause the owning shard and back its queue up. An idle sibling must not
+  // take the work: nothing waits on a result before resume(), so a request
+  // that stays queued can never hang the test.
   router->shard(owner).pause();
   std::vector<Engine::Ticket> tickets;
   for (int i = 0; i < 6; ++i) {
@@ -1053,28 +1057,28 @@ TEST_F(ServeFixture, RouterStealsFromSaturatedSiblingBitIdentically) {
     request.design = design;
     tickets.push_back(router->submit(std::move(request)));
   }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(router->shard(owner).queue_depth(), 6);
+  EXPECT_EQ(router->shard(sibling).queue_depth(), 0);
+  EXPECT_EQ(router->shard(sibling).stats().completed, 0u);
+
+  router->shard(owner).resume();
   for (Engine::Ticket& t : tickets) {
     AnalysisResult r = t.result.get();
     ASSERT_TRUE(r.ok()) << r.error;
-    EXPECT_EQ(r.shard, thief);  // the owner never ran
     EXPECT_EQ(r.ir_drop.data(), expected.data());
   }
-  router->shard(owner).resume();
-
-  const RouterStats rs = router->router_stats();
-  EXPECT_GE(rs.steals, 1u);
-  EXPECT_EQ(rs.stolen_requests, 6u);
-  // Per-shard asymmetry is expected (the owner admitted, the thief
-  // completed); the aggregate invariant must still hold.
-  EXPECT_EQ(rs.shards[static_cast<std::size_t>(owner)].submitted, 6u);
-  EXPECT_GE(rs.shards[static_cast<std::size_t>(thief)].completed, 6u);
-  EXPECT_LE(rs.total.completed, rs.total.submitted);
+  const EngineStats owner_stats = router->shard(owner).stats();
+  EXPECT_EQ(owner_stats.submitted, 6u);
+  EXPECT_EQ(owner_stats.completed, 6u);
+  EXPECT_EQ(owner_stats.served_ok, 6u);
+  EXPECT_EQ(router->shard(sibling).stats().submitted, 0u);
+  EXPECT_EQ(router->shard(sibling).stats().completed, 0u);
 }
 
-TEST(RouterStats, AggregateMatchesPerShardBreakdown) {
+TEST(RouterShardStats, AggregateMatchesPerShardBreakdown) {
   RouterOptions ropts;
   ropts.num_shards = 2;
-  ropts.enable_stealing = false;  // keep per-shard attribution exact
   Router router(ropts);  // model-less: every request degrades, cheaply
 
   const auto designs = distinct_topology_designs(4);
@@ -1095,40 +1099,43 @@ TEST(RouterStats, AggregateMatchesPerShardBreakdown) {
   EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end())
       << "ticket ids must be globally unique across shards";
 
-  const RouterStats rs = router.router_stats();
-  ASSERT_EQ(rs.shards.size(), 2u);
+  const EngineStats total = router.stats();
   EngineStats sum;
-  for (const EngineStats& s : rs.shards) {
+  for (int i = 0; i < router.num_shards(); ++i) {
+    const EngineStats s = router.shard(i).stats();
+    // A request never changes shards, so the invariant holds per shard.
+    EXPECT_LE(s.completed, s.submitted) << "shard " << i;
     sum.submitted += s.submitted;
     sum.completed += s.completed;
     sum.degraded += s.degraded;
     sum.cache_hits += s.cache_hits;
     sum.cache_misses += s.cache_misses;
   }
-  EXPECT_EQ(rs.total.submitted, sum.submitted);
-  EXPECT_EQ(rs.total.completed, sum.completed);
-  EXPECT_EQ(rs.total.degraded, sum.degraded);
-  EXPECT_EQ(rs.total.cache_hits, sum.cache_hits);
-  EXPECT_EQ(rs.total.cache_misses, sum.cache_misses);
-  EXPECT_EQ(rs.total.submitted, tickets.size());
-  EXPECT_EQ(rs.total.completed, tickets.size());
-  EXPECT_LE(rs.total.completed, rs.total.submitted);
-  // The plain stats() view is the aggregate, and queue_depth() sums shards.
-  EXPECT_EQ(router.stats().completed, rs.total.completed);
+  EXPECT_EQ(total.submitted, sum.submitted);
+  EXPECT_EQ(total.completed, sum.completed);
+  EXPECT_EQ(total.degraded, sum.degraded);
+  EXPECT_EQ(total.cache_hits, sum.cache_hits);
+  EXPECT_EQ(total.cache_misses, sum.cache_misses);
+  EXPECT_EQ(total.submitted, tickets.size());
+  EXPECT_EQ(total.completed, tickets.size());
+  EXPECT_LE(total.completed, total.submitted);
   EXPECT_EQ(router.queue_depth(), 0);
 }
 
-TEST(RouterRobustness, CancelFindsRequestAfterSteal) {
+TEST(RouterRobustness, CancelByIdOnOwningShard) {
   RouterOptions ropts;
   ropts.num_shards = 2;
   ropts.engine.start_paused = true;
-  ropts.enable_stealing = false;
   Router router(ropts);
   const auto designs = distinct_topology_designs(2);
   ASSERT_GE(designs.size(), 1u);
   AnalysisRequest request;
   request.design = designs.front();
   Engine::Ticket ticket = router.submit(std::move(request));
+  // The id names the admitting shard, which is the design's home shard.
+  const int owner = router.shard_for(*designs.front());
+  EXPECT_EQ(static_cast<int>((ticket.id - 1) % 2), owner);
+  EXPECT_EQ(router.shard(owner).queue_depth(), 1);
   EXPECT_TRUE(router.cancel(ticket.id));
   EXPECT_FALSE(router.cancel(ticket.id + 12345));
   router.resume();

@@ -4,8 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
-#include "check/lexer.hpp"
-#include "check/lint.hpp"
+#include "analyze/lexer.hpp"
+#include "analyze/lint.hpp"
 
 namespace irf::analyze {
 
@@ -37,10 +37,10 @@ std::string json_escape(const std::string& s) {
 /// Comment-only projection: comment bytes kept, everything else (including
 /// string literals) blanked. Lock-order annotations are read from here so a
 /// quoted "irf-lock-order:" inside analyzer source never parses as one.
-std::string comment_view(const std::string& s, const std::vector<check::lex::Kind>& kind) {
+std::string comment_view(const std::string& s, const std::vector<lex::Kind>& kind) {
   std::string out = s;
   for (std::size_t i = 0; i < s.size(); ++i) {
-    if (kind[i] != check::lex::Kind::kComment && s[i] != '\n') out[i] = ' ';
+    if (kind[i] != lex::Kind::kComment && s[i] != '\n') out[i] = ' ';
   }
   return out;
 }
@@ -119,8 +119,8 @@ void Analyzer::add_file(const std::string& path, const std::string& content) {
   const std::size_t dot = base.rfind('.');
   rec.stem = dot == std::string::npos ? base : base.substr(0, dot);
   rec.content = content;
-  const std::vector<check::lex::Kind> kinds = check::lex::classify(content);
-  rec.code = check::lex::code_view(content, kinds);
+  const std::vector<lex::Kind> kinds = lex::classify(content);
+  rec.code = lex::code_view(content, kinds);
   rec.comments = comment_view(content, kinds);
   files_.push_back(std::move(rec));
 }
@@ -128,10 +128,10 @@ void Analyzer::add_file(const std::string& path, const std::string& content) {
 void Analyzer::finish() {
   // Pass 0 + 3: the carried-forward token rules and the obs-name extraction
   // share the lint engine (one scan, one name registry).
-  check::lint::Linter linter;
+  lint::Linter linter;
   for (const FileRecord& f : files_) linter.add_file(f.path, f.content);
   linter.finish();
-  for (const check::lint::Issue& issue : linter.issues()) {
+  for (const lint::Issue& issue : linter.issues()) {
     report({issue.file, issue.line, issue.rule, issue.message,
             "L" + std::to_string(issue.line)});
   }

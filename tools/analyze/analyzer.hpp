@@ -3,7 +3,7 @@
 /// \file analyzer.hpp
 /// irf_analyze — the project's multi-pass semantic static analyzer. It
 /// subsumes the old token-level linter (whose rules it still runs via
-/// src/check/lint.{hpp,cpp}) and adds four semantic passes that keep the
+/// lint.{hpp,cpp}) and adds four semantic passes that keep the
 /// architecture sound the way the sanitizer presets keep the runtime sound:
 ///
 ///   1. include-graph + layering DAG   rules: layering, layer-cycle,

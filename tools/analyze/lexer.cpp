@@ -1,9 +1,9 @@
-#include "check/lexer.hpp"
+#include "analyze/lexer.hpp"
 
 #include <algorithm>
 #include <cctype>
 
-namespace irf::check::lex {
+namespace irf::analyze::lex {
 
 namespace {
 
@@ -98,4 +98,4 @@ bool line_allows(const std::string& raw, int line, const std::string& rule) {
   return line_has_allow(raw, line, rule) || line_has_allow(raw, line - 1, rule);
 }
 
-}  // namespace irf::check::lex
+}  // namespace irf::analyze::lex

@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file lexer.hpp
-/// String/comment-aware source lexer shared by the project lint rules
-/// (src/check/lint.cpp) and the semantic analyzer (tools/analyze). One pass
+/// String/comment-aware source lexer shared by the token lint rules
+/// (lint.cpp) and the semantic passes of irf_analyze. One pass
 /// classifies every byte of a translation unit as code, comment, or string,
 /// so rules can match against a code-only projection without tripping over
 /// tokens inside literals or commentary.
@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-namespace irf::check::lex {
+namespace irf::analyze::lex {
 
 /// Per-character classification of a translation unit.
 enum class Kind : unsigned char { kCode, kComment, kString };
@@ -39,4 +39,4 @@ std::string line_text(const std::string& raw, int line);
 /// `irf-analyze: allow(<rule>)` / `irf-lint: allow(<rule>)` suppression.
 bool line_allows(const std::string& raw, int line, const std::string& rule);
 
-}  // namespace irf::check::lex
+}  // namespace irf::analyze::lex

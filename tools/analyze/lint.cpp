@@ -1,12 +1,12 @@
-#include "check/lint.hpp"
+#include "analyze/lint.hpp"
 
 #include <algorithm>
 #include <cctype>
 #include <regex>
 
-#include "check/lexer.hpp"
+#include "analyze/lexer.hpp"
 
-namespace irf::check::lint {
+namespace irf::analyze::lint {
 
 namespace {
 
@@ -186,4 +186,4 @@ std::vector<std::string> rule_names() {
   return names;
 }
 
-}  // namespace irf::check::lint
+}  // namespace irf::analyze::lint

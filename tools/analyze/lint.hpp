@@ -25,7 +25,7 @@
 #include <string>
 #include <vector>
 
-namespace irf::check::lint {
+namespace irf::analyze::lint {
 
 struct Issue {
   std::string file;
@@ -72,4 +72,4 @@ std::vector<Issue> lint_content(const std::string& path, const std::string& cont
 /// Names of every registered rule (fixture tests assert coverage).
 std::vector<std::string> rule_names();
 
-}  // namespace irf::check::lint
+}  // namespace irf::analyze::lint

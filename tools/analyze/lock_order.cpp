@@ -6,7 +6,7 @@
 #include <sstream>
 
 #include "analyze/analyzer.hpp"
-#include "check/lexer.hpp"
+#include "analyze/lexer.hpp"
 
 namespace irf::analyze {
 
@@ -96,7 +96,7 @@ void Analyzer::run_lock_order() {
       const std::size_t eol = f.comments.find('\n', tail);
       const std::string rest = f.comments.substr(
           tail, eol == std::string::npos ? std::string::npos : eol - tail);
-      const int line = check::lex::line_of(f.content, tail);
+      const int line = lex::line_of(f.content, tail);
       std::vector<std::string> chain;
       bool ok = true;
       // split on '<'
@@ -183,7 +183,7 @@ void Analyzer::run_lock_order() {
         if (args.empty()) continue;
         LockSite site;
         site.pos = tok_at;
-        site.line = check::lex::line_of(f.content, tok_at);
+        site.line = lex::line_of(f.content, tok_at);
         const std::size_t take = tk == "scoped_lock" ? args.size() : std::size_t{1};
         for (std::size_t a = 0; a < take && a < args.size(); ++a) {
           const std::string id = final_identifier(args[a]);
@@ -266,7 +266,7 @@ void Analyzer::run_lock_order() {
       return nullptr;
     }();
     if (raw_line != nullptr &&
-        check::lex::line_allows(raw_line->content, e.line, "lock-order")) {
+        lex::line_allows(raw_line->content, e.line, "lock-order")) {
       continue;
     }
     if (reachable(e.to, e.from)) {

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "analyze/analyzer.hpp"
-#include "check/lint.hpp"
+#include "analyze/lint.hpp"
 
 namespace fs = std::filesystem;
 
@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
   }
 
   if (opt.list_rules) {
-    for (const std::string& r : irf::check::lint::rule_names()) std::cout << r << "\n";
+    for (const std::string& r : irf::analyze::lint::rule_names()) std::cout << r << "\n";
     for (const char* r : {"layering", "layer-cycle", "layer-table", "private-include",
                           "env-undocumented", "env-raw-parse", "env-doc-stale",
                           "lock-unannotated", "lock-order", "lock-cycle"}) {

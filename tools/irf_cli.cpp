@@ -132,7 +132,6 @@ const cli::CommandSpec kServeLoadSpec = {
         {"timeout-seconds", "", "T", "per-request deadline (0 = none)"},
         {"interactive-pct", "", "P", "percent of requests tagged kInteractive"},
         {"batch-pct", "", "P", "percent of requests tagged kBatch (shed first)"},
-        {"steal", "", "0|1", "idle-shard work stealing (default on)"},
         {"seed", "", "S", "arrival-schedule seed"},
     }};
 
@@ -390,7 +389,6 @@ int cmd_serve_load(const cli::ParsedArgs& args) {
   const std::string dir = args.require("designs");
   RouterOptions ropts;
   ropts.num_shards = args.flag_int_at_least("shards", 2, 1);
-  ropts.enable_stealing = args.flag_int("steal", 1) != 0;
   ropts.engine.max_batch = args.flag_int_at_least("batch", 8, 1);
   ropts.engine.queue_capacity = std::max(64, ropts.engine.max_batch * 4);
   ropts.engine.cache_budget_bytes =
@@ -477,19 +475,17 @@ int cmd_serve_load(const cli::ParsedArgs& args) {
         q * static_cast<double>(latencies.size() - 1) + 0.5);
     return latencies[std::min(idx, latencies.size() - 1)];
   };
-  const RouterStats rs = router->router_stats();
+  const EngineStats total = router->stats();
   obs::info() << "served " << ok + degraded << "/" << requests << " maps in " << wall
               << " s (" << static_cast<double>(ok + degraded) / std::max(wall, 1e-9)
               << " req/s): " << ok << " ok, " << degraded << " degraded, " << shed
               << " shed, " << other << " other";
   obs::info() << "latency from scheduled arrival: p50 " << quantile(0.5) * 1e3
               << " ms, p99 " << quantile(0.99) * 1e3 << " ms";
-  obs::info() << "router: " << rs.steals << " steals (" << rs.stolen_requests
-              << " requests moved), " << rs.total.shed << " shed, "
-              << rs.total.cache_hits << " cache hits / " << rs.total.cache_misses
-              << " misses";
-  for (std::size_t i = 0; i < rs.shards.size(); ++i) {
-    const EngineStats& s = rs.shards[i];
+  obs::info() << "router: " << total.shed << " shed, " << total.cache_hits
+              << " cache hits / " << total.cache_misses << " misses";
+  for (int i = 0; i < router->num_shards(); ++i) {
+    const EngineStats s = router->shard(i).stats();
     obs::verbose() << "  shard " << i << ": " << s.submitted << " submitted, "
                    << s.completed << " completed, " << s.cache_hits << " hits, "
                    << s.cache_evictions << " evictions";
