@@ -80,8 +80,10 @@ int main() {
                        normalizer, opts);
     std::vector<train::MapMetrics> fusion_metrics;
     for (const train::Sample& s : test_samples) {
-      GridF pred = train::predict_volts(*fusion, s, train::FeatureView::kFusionHier,
-                                        normalizer);
+      GridF pred = std::move(train::predict_volts(*fusion, {&s},
+                                                  train::FeatureView::kFusionHier,
+                                                  normalizer)
+                                 .front());
       for (std::size_t i = 0; i < pred.size(); ++i) {
         pred.data()[i] += s.rough_bottom.data()[i];
       }

@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file bytes.hpp
-/// Alignment-safe byte IO for every serialization path (nn/serialize,
-/// serve/checkpoint, the legacy pipeline format). All conversions go
+/// Alignment-safe byte IO for every serialization path (nn/serialize and
+/// serve/checkpoint, the one pipeline format). All conversions go
 /// through memcpy or object->void->char pointer casts — both well-defined
 /// for trivially copyable types — so the irf_analyze `reinterpret-cast` rule
 /// can ban type punning outright and UBSan stays quiet on checkpoint

@@ -249,8 +249,9 @@ Fig6Result run_fig6(const ScaleConfig& config, const DesignSet& designs,
   const PreparedDesign& target = designs.test.front();
   Sample sample = train::make_sample(target, config.rough_iters, designs.image_size);
   const GridF golden = sample.label;
-  const GridF maunet_pred =
-      train::predict_volts(*maunet, sample, FeatureView::kStructuralFlat, normalizer);
+  const GridF maunet_pred = std::move(
+      train::predict_volts(*maunet, {&sample}, FeatureView::kStructuralFlat, normalizer)
+          .front());
   const GridF fusion_pred = pipeline.analyze(*target.design);
 
   Fig6Result result;

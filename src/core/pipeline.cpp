@@ -1,15 +1,11 @@
 #include "core/pipeline.hpp"
 
 #include <cmath>
-#include <fstream>
-
 #include <memory>
 
 #include "check/check.hpp"
-#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "models/unet.hpp"
-#include "nn/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -141,7 +137,7 @@ IrFusionPipeline::Diagnostics IrFusionPipeline::analyze_with_diagnostics(
   sample.label = GridF(config_.image_size, config_.image_size, 0.0f);  // unused
 
   diag.rough = sample.rough_bottom;
-  diag.prediction = predict(sample);
+  diag.prediction = std::move(predict({&sample}).front());
   IRF_CHECK_FINITE(diag.prediction.data(), "fusion-stage prediction");
   diag.inference_seconds = fusion_span.seconds();
 
@@ -152,81 +148,19 @@ IrFusionPipeline::Diagnostics IrFusionPipeline::analyze_with_diagnostics(
   return diag;
 }
 
-GridF IrFusionPipeline::predict(const Sample& sample) const {
-  GridF out = train::predict_volts(*model_, sample, view(), normalizer_);
+std::vector<GridF> IrFusionPipeline::predict(
+    const std::vector<const Sample*>& batch) const {
+  if (!fitted_) throw ConfigError("predict: pipeline not fitted");
+  std::vector<GridF> maps = train::predict_volts(*model_, batch, view(), normalizer_);
   if (refines_rough_solution()) {
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      out.data()[i] += sample.rough_bottom.data()[i];
+    for (std::size_t b = 0; b < maps.size(); ++b) {
+      const GridF& rough = batch[b]->rough_bottom;
+      for (std::size_t i = 0; i < maps[b].size(); ++i) {
+        maps[b].data()[i] += rough.data()[i];
+      }
     }
   }
-  return out;
-}
-
-namespace {
-constexpr std::uint32_t kPipelineMagic = 0x49524650;  // "IRFP"
-
-void write_string(std::ostream& out, const std::string& s) {
-  write_pod(out, static_cast<std::uint32_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-std::string read_string(std::istream& in) {
-  std::uint32_t n = 0;
-  read_pod(in, n);
-  std::string s(n, '\0');
-  in.read(s.data(), static_cast<std::streamsize>(n));
-  return s;
-}
-}  // namespace
-
-void IrFusionPipeline::save(const std::string& path) const {
-  if (!fitted_) throw ConfigError("save: pipeline not fitted");
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw Error("cannot open pipeline checkpoint for write: " + path);
-  write_pod(out, kPipelineMagic);
-  write_pod(out, config_);
-  write_pod(out, model_->in_channels());
-  const auto& scales = normalizer_.scales();
-  write_pod(out, static_cast<std::uint32_t>(scales.size()));
-  for (const auto& [name, scale] : scales) {
-    write_string(out, name);
-    write_pod(out, scale);
-  }
-  nn::save_parameters(model_->parameters(), out);
-  nn::save_buffers(model_->buffers(), out);
-  if (!out) throw Error("pipeline checkpoint write failed: " + path);
-}
-
-IrFusionPipeline IrFusionPipeline::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot open pipeline checkpoint for read: " + path);
-  std::uint32_t magic = 0;
-  read_pod(in, magic);
-  if (magic != kPipelineMagic) throw ParseError("not a pipeline checkpoint: " + path);
-  PipelineConfig config;
-  read_pod(in, config);
-  IrFusionPipeline pipeline(config);
-  int channels = 0;
-  read_pod(in, channels);
-  std::uint32_t num_scales = 0;
-  read_pod(in, num_scales);
-  std::map<std::string, float> scales;
-  for (std::uint32_t i = 0; i < num_scales; ++i) {
-    std::string name = read_string(in);
-    float scale = 0.0f;
-    read_pod(in, scale);
-    scales.emplace(std::move(name), scale);
-  }
-  if (!in) throw ParseError("pipeline checkpoint truncated: " + path);
-  pipeline.normalizer_ = train::Normalizer::from_scales(std::move(scales));
-  pipeline.model_ = models::make_ir_fusion_net(channels, config.base_channels,
-                                               pipeline.rng_, config.use_inception,
-                                               config.use_cbam);
-  std::vector<nn::Tensor> params = pipeline.model_->parameters();
-  nn::load_parameters(params, in);
-  nn::load_buffers(pipeline.model_->buffers(), in);
-  pipeline.model_->set_training(false);
-  pipeline.fitted_ = true;
-  return pipeline;
+  return maps;
 }
 
 train::AggregateMetrics IrFusionPipeline::evaluate(
@@ -238,7 +172,7 @@ train::AggregateMetrics IrFusionPipeline::evaluate(
   for (const PreparedDesign& prepared : test_designs) {
     obs::ScopedSpan span("evaluate_design", "pipeline");
     Sample sample = sample_for(prepared);  // rough solve + feature fusion
-    GridF pred = predict(sample);
+    const GridF pred = std::move(predict({&sample}).front());
     runtime += span.seconds();
     per_design.push_back(train::evaluate_map(pred, sample.label));
   }

@@ -85,19 +85,17 @@ class IrFusionPipeline {
   const train::Normalizer& normalizer() const { return normalizer_; }
   bool is_fitted() const { return fitted_; }
 
-  /// Persist a fitted pipeline (config + normalization + model weights).
-  /// Legacy v1 format; new code should prefer irf::serve checkpoints
-  /// (versioned header + checksum — see docs/API.md), which the serve
-  /// loader also accepts alongside this format.
-  void save(const std::string& path) const;
-
-  /// Restore a pipeline saved with save(). The returned pipeline is fitted
-  /// and ready for analyze()/evaluate() without retraining.
-  static IrFusionPipeline load(const std::string& path);
+  /// Model inference on fused samples (rough solve + features already
+  /// done): one batched train::predict_volts call, plus each sample's rough
+  /// map in residual mode. analyze(), evaluate() and the serve engine's
+  /// batched stage all come through here, so every map is bit-identical to
+  /// a one-element call. Throws irf::ConfigError when not fitted.
+  std::vector<GridF> predict(const std::vector<const train::Sample*>& batch) const;
 
   /// Reassemble a fitted pipeline from externally restored parts (the serve
-  /// checkpoint loader). The model must match the config's architecture
-  /// flags; the pipeline takes ownership and is immediately analyzable.
+  /// checkpoint loader, irf::load_checkpoint, the only persistence format).
+  /// The model must match the config's architecture flags; the pipeline
+  /// takes ownership and is immediately analyzable.
   static IrFusionPipeline restore(PipelineConfig config, train::Normalizer normalizer,
                                   std::unique_ptr<models::IrModel> model);
 
@@ -111,7 +109,6 @@ class IrFusionPipeline {
 
  private:
   train::Sample sample_for(const train::PreparedDesign& prepared) const;
-  GridF predict(const train::Sample& sample) const;
 
   PipelineConfig config_;
   Rng rng_;

@@ -17,12 +17,12 @@
 ///   // serve forever
 ///   auto engine = irf::Engine::from_checkpoint("model.irf");
 ///   irf::AnalysisResult r = engine->analyze(design);
-///   if (r.has_map()) use(r.ir_drop);   // r.degraded tells you which path
+///   if (r.has_map()) use(r.ir_drop);   // r.status tells you which path
 ///
 /// Request/response types (AnalysisRequest, AnalysisResult, EngineOptions,
-/// ResultStatus) are the stable serving vocabulary; additions keep old
-/// fields meaningful, and checkpoints carry a versioned, checksummed
-/// header so old files stay loadable.
+/// ResultStatus) are the serving vocabulary. save_checkpoint /
+/// load_checkpoint are the one persistence format: a versioned,
+/// checksummed header over the config, normalization and weights.
 
 #include "common/error.hpp"
 #include "common/grid2d.hpp"
@@ -54,7 +54,6 @@ using serve::ResultStatus;
 using serve::Router;
 using serve::RouterOptions;
 using serve::design_content_hash;
-using serve::is_checkpoint_file;
 using serve::load_checkpoint;
 using serve::priority_name;
 using serve::save_checkpoint;

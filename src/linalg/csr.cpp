@@ -11,71 +11,15 @@
 
 namespace irf::linalg {
 
-// Copies and moves transfer the CSR arrays only; the diagonal caches rebuild
-// lazily on the destination and are dropped on a moved-from source, whose
-// arrays no longer back them.
-
-CsrMatrix::CsrMatrix(const CsrMatrix& other)
-    : rows_(other.rows_),
-      cols_(other.cols_),
-      row_ptr_(other.row_ptr_),
-      col_idx_(other.col_idx_),
-      values_(other.values_) {}
-
-CsrMatrix& CsrMatrix::operator=(const CsrMatrix& other) {
-  if (this == &other) return *this;
-  rows_ = other.rows_;
-  cols_ = other.cols_;
-  row_ptr_ = other.row_ptr_;
-  col_idx_ = other.col_idx_;
-  values_ = other.values_;
-  reset_caches();
-  return *this;
-}
-
-CsrMatrix::CsrMatrix(CsrMatrix&& other) noexcept
-    : rows_(other.rows_),
-      cols_(other.cols_),
-      row_ptr_(std::move(other.row_ptr_)),
-      col_idx_(std::move(other.col_idx_)),
-      values_(std::move(other.values_)) {
-  other.rows_ = 0;
-  other.cols_ = 0;
-  other.reset_caches();
-}
-
-CsrMatrix& CsrMatrix::operator=(CsrMatrix&& other) noexcept {
-  if (this == &other) return *this;
-  rows_ = other.rows_;
-  cols_ = other.cols_;
-  row_ptr_ = std::move(other.row_ptr_);
-  col_idx_ = std::move(other.col_idx_);
-  values_ = std::move(other.values_);
-  other.rows_ = 0;
-  other.cols_ = 0;
-  other.reset_caches();
-  reset_caches();
-  return *this;
-}
-
-// Assignment and moves own both matrices exclusively (non-const), so no
-// concurrent reader can hold the caches: no lock needed.
-void CsrMatrix::reset_caches() {
-  diag_idx_.clear();
-  diag_.clear();
-  diag_idx_built_ = false;
-  diag_vals_built_ = false;
-}
-
 CsrMatrix CsrMatrix::from_triplets(const TripletBuilder& builder) {
   CsrMatrix m;
-  m.rows_ = builder.rows();
+  const int n = builder.rows();
   m.cols_ = builder.cols();
 
   // Count entries per row, then bucket, then sort+dedupe each row.
-  std::vector<int> counts(static_cast<std::size_t>(m.rows_) + 1, 0);
+  std::vector<int> counts(static_cast<std::size_t>(n) + 1, 0);
   for (const Triplet& t : builder.triplets()) ++counts[t.row + 1];
-  for (int r = 0; r < m.rows_; ++r) counts[r + 1] += counts[r];
+  for (int r = 0; r < n; ++r) counts[r + 1] += counts[r];
 
   std::vector<int> cols(builder.triplets().size());
   std::vector<double> vals(builder.triplets().size());
@@ -88,11 +32,12 @@ CsrMatrix CsrMatrix::from_triplets(const TripletBuilder& builder) {
     }
   }
 
-  m.row_ptr_.assign(static_cast<std::size_t>(m.rows_) + 1, 0);
+  m.row_ptr_.assign(static_cast<std::size_t>(n) + 1, 0);
+  m.diag_idx_.assign(static_cast<std::size_t>(n), -1);
   m.col_idx_.reserve(cols.size());
   m.values_.reserve(vals.size());
   std::vector<std::pair<int, double>> row_entries;
-  for (int r = 0; r < m.rows_; ++r) {
+  for (int r = 0; r < n; ++r) {
     row_entries.clear();
     for (int k = counts[r]; k < counts[r + 1]; ++k) row_entries.emplace_back(cols[k], vals[k]);
     std::sort(row_entries.begin(), row_entries.end(),
@@ -104,6 +49,7 @@ CsrMatrix CsrMatrix::from_triplets(const TripletBuilder& builder) {
       if (row_has_prev && m.col_idx_.back() == col) {
         m.values_.back() += value;
       } else {
+        if (col == r) m.diag_idx_[r] = static_cast<int>(m.col_idx_.size());
         m.col_idx_.push_back(col);
         m.values_.push_back(value);
       }
@@ -113,7 +59,7 @@ CsrMatrix CsrMatrix::from_triplets(const TripletBuilder& builder) {
   if (check::enabled()) {
     // Every CSR in the process is born here, so this one call site proves
     // the sorted-unique-in-range structural contract system-wide.
-    check::check_csr(m.rows_, m.cols_, m.row_ptr_, m.col_idx_, m.values_, {},
+    check::check_csr(n, m.cols_, m.row_ptr_, m.col_idx_, m.values_, {},
                      "CsrMatrix::from_triplets");
   }
   return m;
@@ -131,8 +77,8 @@ void CsrMatrix::multiply(const Vec& x, Vec& y) const {
                          std::to_string(cols_));
   }
   // Every row is written exactly once below, so no zero-fill pass is needed.
-  y.resize(static_cast<std::size_t>(rows_));
-  par::parallel_for(0, rows_, par::kRowGrain, [&](std::int64_t lo, std::int64_t hi) {
+  y.resize(static_cast<std::size_t>(rows()));
+  par::parallel_for(0, rows(), par::kRowGrain, [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t r = lo; r < hi; ++r) {
       double s = 0.0;
       for (int k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) s += values_[k] * x[col_idx_[k]];
@@ -141,51 +87,9 @@ void CsrMatrix::multiply(const Vec& x, Vec& y) const {
   });
 }
 
-std::vector<double>& CsrMatrix::mutable_values() {
-  std::scoped_lock lock(cache_mu_);
-  diag_vals_built_ = false;
-  return values_;
-}
-
-const std::vector<int>& CsrMatrix::diag_index() const {
-  std::scoped_lock lock(cache_mu_);
-  if (!diag_idx_built_) {
-    diag_idx_.assign(static_cast<std::size_t>(rows_), -1);
-    for (int r = 0; r < rows_; ++r) {
-      for (int k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-        if (col_idx_[k] == r) {
-          diag_idx_[static_cast<std::size_t>(r)] = k;
-          break;
-        }
-      }
-    }
-    diag_idx_built_ = true;
-  }
-  return diag_idx_;
-}
-
-const Vec& CsrMatrix::cached_diagonal() const {
-  const std::vector<int>& idx = diag_index();
-  std::scoped_lock lock(cache_mu_);
-  if (!diag_vals_built_) {
-    diag_.assign(static_cast<std::size_t>(rows_), 0.0);
-    for (int r = 0; r < rows_; ++r) {
-      const int k = idx[static_cast<std::size_t>(r)];
-      if (k >= 0) diag_[static_cast<std::size_t>(r)] = values_[static_cast<std::size_t>(k)];
-    }
-    diag_vals_built_ = true;
-  }
-  return diag_;
-}
-
 std::size_t CsrMatrix::memory_bytes() const {
-  std::size_t bytes = row_ptr_.capacity() * sizeof(int) +
-                      col_idx_.capacity() * sizeof(int) +
-                      values_.capacity() * sizeof(double);
-  std::scoped_lock lock(cache_mu_);
-  bytes += diag_idx_.capacity() * sizeof(int);
-  bytes += diag_.capacity() * sizeof(double);
-  return bytes;
+  return (row_ptr_.capacity() + col_idx_.capacity() + diag_idx_.capacity()) * sizeof(int) +
+         values_.capacity() * sizeof(double);
 }
 
 Vec CsrMatrix::multiply(const Vec& x) const {
@@ -195,7 +99,7 @@ Vec CsrMatrix::multiply(const Vec& x) const {
 }
 
 double CsrMatrix::at(int row, int col) const {
-  if (row < 0 || row >= rows_ || col < 0 || col >= cols_) {
+  if (row < 0 || row >= rows() || col < 0 || col >= cols_) {
     throw DimensionError("CsrMatrix::at out of range");
   }
   auto begin = col_idx_.begin() + row_ptr_[row];
@@ -206,24 +110,24 @@ double CsrMatrix::at(int row, int col) const {
 }
 
 Vec CsrMatrix::diagonal() const {
-  Vec d(static_cast<std::size_t>(rows_), 0.0);
-  for (int r = 0; r < rows_ && r < cols_; ++r) d[r] = at(r, r);
+  Vec d(static_cast<std::size_t>(rows()), 0.0);
+  for (int r = 0; r < rows() && r < cols_; ++r) d[r] = at(r, r);
   return d;
 }
 
 Vec CsrMatrix::row_sums() const {
-  Vec s(static_cast<std::size_t>(rows_), 0.0);
-  for (int r = 0; r < rows_; ++r)
+  Vec s(static_cast<std::size_t>(rows()), 0.0);
+  for (int r = 0; r < rows(); ++r)
     for (int k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) s[r] += values_[k];
   return s;
 }
 
 bool CsrMatrix::is_symmetric(double tol) const {
-  if (rows_ != cols_) return false;
+  if (rows() != cols_) return false;
   double scale = 0.0;
   for (double v : values_) scale = std::max(scale, std::abs(v));
   const double abs_tol = tol * std::max(scale, 1.0);
-  for (int r = 0; r < rows_; ++r) {
+  for (int r = 0; r < rows(); ++r) {
     for (int k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
       if (std::abs(values_[k] - at(col_idx_[k], r)) > abs_tol) return false;
     }
@@ -232,7 +136,7 @@ bool CsrMatrix::is_symmetric(double tol) const {
 }
 
 bool CsrMatrix::is_diagonally_dominant(double tol) const {
-  for (int r = 0; r < rows_; ++r) {
+  for (int r = 0; r < rows(); ++r) {
     double diag = 0.0;
     double off = 0.0;
     for (int k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
@@ -248,8 +152,8 @@ bool CsrMatrix::is_diagonally_dominant(double tol) const {
 }
 
 CsrMatrix CsrMatrix::transposed() const {
-  TripletBuilder b(cols_, rows_);
-  for (int r = 0; r < rows_; ++r)
+  TripletBuilder b(cols_, rows());
+  for (int r = 0; r < rows(); ++r)
     for (int k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) b.add(col_idx_[k], r, values_[k]);
   return from_triplets(b);
 }

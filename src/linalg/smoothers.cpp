@@ -23,7 +23,7 @@ void gs_sweep(const CsrMatrix& a, const Vec& b, Vec& x, bool forward) {
   const int n = a.rows();
   for (int step = 0; step < n; ++step) {
     const int i = forward ? step : n - 1 - step;
-    // The cached diagonal position splits each row into two branch-free
+    // The recorded diagonal position splits each row into two branch-free
     // spans around the diagonal entry; the subtraction order (ascending
     // column, diagonal skipped) is exactly the reference loop's.
     const int dk = di[i];

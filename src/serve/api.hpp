@@ -95,7 +95,6 @@ struct AnalysisResult {
   GridF ir_drop;  ///< final bottom-layer IR-drop image (volts)
   GridF rough;    ///< rough numerical map (populated when computed)
 
-  bool degraded = false;    ///< convenience mirror of status == kDegraded
   bool cache_hit = false;   ///< numerical+feature stage served from cache
   bool warm_start = false;  ///< incremental re-analysis: cached hierarchy +
                             ///< rough solution reused, only the delta recomputed
@@ -122,10 +121,7 @@ struct AnalysisResult {
   double submit_unix_seconds = 0.0;
   int queue_depth_at_admission = 0;
 
-  double queue_seconds = 0.0;      ///< time between submit and dequeue
-  double numerical_seconds = 0.0;  ///< MNA + AMG + rough solve + features
-  double inference_seconds = 0.0;  ///< share of the batched model forward
-  StageTimings stages;             ///< full per-stage latency breakdown
+  StageTimings stages;  ///< per-stage latency breakdown
 
   /// Convergence telemetry of the numerical stage that produced `rough`
   /// (cold rough solve or warm-started PCG; cached values on a cache hit).
@@ -155,13 +151,6 @@ struct EngineOptions {
   std::size_t cache_budget_bytes = std::size_t{256} << 20;  ///< per-design cache
   double default_timeout_seconds = 0.0;  ///< 0 = requests never expire
   bool allow_degraded = true;   ///< engine-wide master switch for the fallback
-  bool start_paused = false;    ///< queue requests but do not dispatch yet
-
-  /// Resolution/iteration budget of the rough numerical map served by a
-  /// model-less (degraded-only) engine. Ignored once a pipeline is loaded —
-  /// the pipeline's own config governs then.
-  int fallback_image_size = 64;
-  int fallback_rough_iterations = 3;
 
   /// Incremental re-analysis: when a request misses the content cache but a
   /// cached entry has the identical topology up to a bounded value delta
@@ -174,12 +163,6 @@ struct EngineOptions {
   /// How many resistor value edits still count as an incremental delta;
   /// larger edit sets force the cold path.
   int max_stamp_edits = 8;
-
-  /// Flight recorder: ring capacity of recent engine events (submit /
-  /// dequeue / respond / degraded / deadline_missed / warm_fallback /
-  /// check_error). Always on — recording is one short mutex hold and never
-  /// influences results.
-  int flight_recorder_capacity = 256;
 
   /// Test hook: sleep this long between the pre-inference deadline check
   /// and stage B, simulating a slow model forward. Pins the

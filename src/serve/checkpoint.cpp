@@ -9,23 +9,25 @@
 #include "common/hash.hpp"
 #include "models/unet.hpp"
 #include "nn/serialize.hpp"
-#include "obs/log.hpp"
 
 namespace irf::serve {
 
 namespace {
-
-// Legacy v1 magic written by IrFusionPipeline::save() ("IRFP").
-constexpr std::uint32_t kLegacyMagic = 0x49524650;
 
 void write_string(std::ostream& out, const std::string& s) {
   write_pod(out, static_cast<std::uint32_t>(s.size()));
   out.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
-std::string read_string(std::istream& in) {
+/// Length-prefixed string from the in-memory payload. A length that runs
+/// past the payload's end fails the stream instead of being allocated.
+std::string read_string(std::istringstream& in) {
   std::uint32_t n = 0;
   read_pod(in, n);
+  if (!in || static_cast<std::streamsize>(n) > in.rdbuf()->in_avail()) {
+    in.setstate(std::ios::failbit);
+    return {};
+  }
   std::string s(n, '\0');
   in.read(s.data(), static_cast<std::streamsize>(n));
   return s;
@@ -104,12 +106,6 @@ core::IrFusionPipeline load_checkpoint(const std::string& path) {
   std::uint32_t magic = 0;
   read_pod(in, magic);
   if (!in) throw ParseError("checkpoint too short: " + path);
-  if (magic == kLegacyMagic) {
-    // Pre-serve pipeline checkpoint: delegate to the legacy reader.
-    in.close();
-    obs::verbose() << "loading legacy v1 pipeline checkpoint " << path;
-    return core::IrFusionPipeline::load(path);
-  }
   if (magic != kCheckpointMagic) {
     throw ParseError("not an IR-Fusion checkpoint: " + path);
   }
@@ -123,6 +119,16 @@ core::IrFusionPipeline load_checkpoint(const std::string& path) {
   if (version > kCheckpointVersion) {
     throw ParseError("checkpoint " + path + " has version " + std::to_string(version) +
                      "; this build reads <= " + std::to_string(kCheckpointVersion));
+  }
+  // The header is untrusted until the checksum matches: size the payload
+  // buffer only once the file is known to hold that many bytes.
+  const std::streamoff payload_start = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff file_end = in.tellg();
+  in.seekg(payload_start);
+  if (file_end < payload_start ||
+      payload_bytes > static_cast<std::uint64_t>(file_end - payload_start)) {
+    throw ParseError("checkpoint payload truncated: " + path);
   }
   std::string payload(static_cast<std::size_t>(payload_bytes), '\0');
   in.read(payload.data(), static_cast<std::streamsize>(payload.size()));
@@ -140,15 +146,17 @@ core::IrFusionPipeline load_checkpoint(const std::string& path) {
   read_pod(payload_in, channels);
   std::uint32_t num_scales = 0;
   read_pod(payload_in, num_scales);
+  if (!payload_in) throw ParseError("checkpoint payload malformed: " + path);
+  if (channels < 1) throw ParseError("checkpoint has invalid channel count: " + path);
   std::map<std::string, float> scales;
   for (std::uint32_t i = 0; i < num_scales; ++i) {
     std::string name = read_string(payload_in);
     float scale = 0.0f;
     read_pod(payload_in, scale);
+    // Stop at the first failed read: the count is as untrusted as the rest.
+    if (!payload_in) throw ParseError("checkpoint payload malformed: " + path);
     scales.emplace(std::move(name), scale);
   }
-  if (!payload_in) throw ParseError("checkpoint payload malformed: " + path);
-  if (channels < 1) throw ParseError("checkpoint has invalid channel count: " + path);
 
   Rng rng(config.seed);
   std::unique_ptr<models::IrModel> model = models::make_ir_fusion_net(
@@ -156,14 +164,6 @@ core::IrFusionPipeline load_checkpoint(const std::string& path) {
   nn::load_state(*model, payload_in);
   return core::IrFusionPipeline::restore(
       config, train::Normalizer::from_scales(std::move(scales)), std::move(model));
-}
-
-bool is_checkpoint_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::uint32_t magic = 0;
-  read_pod(in, magic);
-  return in && (magic == kCheckpointMagic || magic == kLegacyMagic);
 }
 
 }  // namespace irf::serve

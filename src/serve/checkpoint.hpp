@@ -14,8 +14,8 @@
 ///
 /// Round-trips are exact: a loaded pipeline produces bit-identical
 /// analyze() output to the pipeline that was saved, for any IRF_THREADS
-/// value (tests/test_serve.cpp). The loader also accepts the legacy v1
-/// format of IrFusionPipeline::save() for pre-serve files.
+/// value (tests/test_serve.cpp). This is the only persistence format of a
+/// fitted pipeline.
 
 #include <string>
 
@@ -32,14 +32,10 @@ inline constexpr std::uint32_t kCheckpointVersion = 2;
 /// operation on the module tree; the pipeline is not modified.)
 void save_checkpoint(core::IrFusionPipeline& pipeline, const std::string& path);
 
-/// Restore a pipeline saved by save_checkpoint() — or, as a compatibility
-/// fallback, by the legacy IrFusionPipeline::save(). Verifies the header
-/// checksum before trusting any payload byte; throws irf::ParseError on a
-/// foreign file, version from the future, checksum mismatch, or truncation.
+/// Restore a pipeline saved by save_checkpoint(). Verifies the header
+/// checksum before trusting any payload byte, and never allocates more than
+/// the file holds; throws irf::ParseError on a foreign file, version from
+/// the future, checksum mismatch, truncation or a malformed payload.
 core::IrFusionPipeline load_checkpoint(const std::string& path);
-
-/// True when `path` starts with a checkpoint magic this loader understands
-/// (v2 or legacy v1). Cheap: reads four bytes.
-bool is_checkpoint_file(const std::string& path);
 
 }  // namespace irf::serve

@@ -12,7 +12,6 @@
 #include "obs/trace.hpp"
 #include "pg/delta.hpp"
 #include "serve/checkpoint.hpp"
-#include "train/normalizer.hpp"
 #include "train/sample.hpp"
 
 namespace irf::serve {
@@ -20,6 +19,11 @@ namespace irf::serve {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+// Raster and rough-iteration budget of the map a model-less engine serves;
+// a loaded pipeline's own config governs otherwise.
+constexpr int kFallbackImageSize = 64;
+constexpr int kFallbackRoughIterations = 3;
 
 double seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
@@ -31,12 +35,6 @@ void validate_options(const EngineOptions& options) {
   }
   if (options.queue_capacity < 1) {
     throw ConfigError("serve: queue_capacity must be >= 1");
-  }
-  if (options.fallback_image_size < 8 || options.fallback_rough_iterations < 1) {
-    throw ConfigError("serve: fallback image size/iterations out of range");
-  }
-  if (options.flight_recorder_capacity < 1) {
-    throw ConfigError("serve: flight_recorder_capacity must be >= 1");
   }
   for (int quota : options.priority_quotas) {
     if (quota < 0) throw ConfigError("serve: priority quotas must be >= 0");
@@ -77,19 +75,14 @@ struct Engine::CacheEntry {
 };
 
 Engine::Engine(core::IrFusionPipeline pipeline, EngineOptions options)
-    : options_(options), pipeline_(std::move(pipeline)),
-      flight_(static_cast<std::size_t>(std::max(1, options.flight_recorder_capacity))) {
+    : options_(options), pipeline_(std::move(pipeline)) {
   if (!pipeline_->is_fitted()) {
     throw ConfigError("serve: engine needs a fitted pipeline (fit() or checkpoint)");
   }
   start();
 }
 
-Engine::Engine(EngineOptions options)
-    : options_(options),
-      flight_(static_cast<std::size_t>(std::max(1, options.flight_recorder_capacity))) {
-  start();
-}
+Engine::Engine(EngineOptions options) : options_(options) { start(); }
 
 std::unique_ptr<Engine> Engine::from_checkpoint(const std::string& path,
                                                 EngineOptions options) {
@@ -106,7 +99,6 @@ std::unique_ptr<Engine> Engine::from_checkpoint(const std::string& path,
 
 void Engine::start() {
   validate_options(options_);
-  paused_ = options_.start_paused;
   // Register the serving instruments up front so queue depth, cache
   // hit/miss and degraded counts appear in metrics snapshots even before
   // (or without) traffic — the dashboards key on their presence.
@@ -366,7 +358,6 @@ void Engine::run_dispatcher() {
 }
 
 void Engine::fulfil(Pending& pending, AnalysisResult result) {
-  result.degraded = result.status == ResultStatus::kDegraded;
   // Close the request's trace context: id + anchors, end-to-end timing, the
   // unattributed respond remainder, and the request-level span that feeds
   // the serve_request latency histogram.
@@ -464,10 +455,9 @@ std::shared_ptr<Engine::CacheEntry> Engine::lookup_or_build(
   const Clock::time_point setup_start = Clock::now();
   entry->solver = std::make_unique<pg::PgSolver>(*entry->design);
   result.stages.setup_seconds = seconds_between(setup_start, Clock::now());
-  const int iterations = pipeline_ ? pipeline_->config().rough_iterations
-                                   : options_.fallback_rough_iterations;
-  const int image_size =
-      pipeline_ ? pipeline_->config().image_size : options_.fallback_image_size;
+  const int iterations =
+      pipeline_ ? pipeline_->config().rough_iterations : kFallbackRoughIterations;
+  const int image_size = pipeline_ ? pipeline_->config().image_size : kFallbackImageSize;
   const Clock::time_point solve_start = Clock::now();
   entry->rough = entry->solver->solve_rough(iterations);
   result.stages.solve_seconds = seconds_between(solve_start, Clock::now());
@@ -486,7 +476,6 @@ std::shared_ptr<Engine::CacheEntry> Engine::lookup_or_build(
   }
   sample.label = GridF(image_size, image_size, 0.0f);  // unused by inference
   result.stages.feature_seconds = seconds_between(feature_start, Clock::now());
-  result.numerical_seconds = span.seconds();
 
   // Account every retained byte — feature stacks, rough solution, and the
   // full MNA + AMG hierarchy — so the LRU budget matches reality.
@@ -566,10 +555,9 @@ std::shared_ptr<Engine::CacheEntry> Engine::build_warm(
     const Clock::time_point setup_start = Clock::now();
     solver->rebind(*entry->design);
     result.stages.setup_seconds = seconds_between(setup_start, Clock::now());
-    const int iterations = pipeline_ ? pipeline_->config().rough_iterations
-                                     : options_.fallback_rough_iterations;
-    const int image_size =
-        pipeline_ ? pipeline_->config().image_size : options_.fallback_image_size;
+    const int iterations =
+        pipeline_ ? pipeline_->config().rough_iterations : kFallbackRoughIterations;
+    const int image_size = pipeline_ ? pipeline_->config().image_size : kFallbackImageSize;
     const double target_residual =
         std::max(base->rough.final_relative_residual, 1e-14);
     const int max_iterations = std::max(2 * iterations, 8);
@@ -603,7 +591,6 @@ std::shared_ptr<Engine::CacheEntry> Engine::build_warm(
           features::label_map(*entry->design, entry->rough, image_size);
     }
     result.stages.feature_seconds = seconds_between(feature_start, Clock::now());
-    result.numerical_seconds = span.seconds();
     result.warm_start = true;
     span.add_arg("resistor_edits", delta.resistor_edits);
     span.add_arg("warm_iterations", entry->rough.iterations);
@@ -680,13 +667,12 @@ void Engine::process_batch(std::vector<std::shared_ptr<Pending>> batch) {
     // timed-out requests included; the ok/degraded paths overwrite this
     // with their (possibly smaller) surviving cohort.
     r.batch_size = static_cast<int>(batch.size());
-    r.queue_seconds = seconds_between(p->enqueued, t0);
-    r.stages.queue_wait_seconds = r.queue_seconds;
+    r.stages.queue_wait_seconds = seconds_between(p->enqueued, t0);
     r.design_name = p->request.design->name;
     obs::emit_span("serve_queue_wait", "serve", p->enqueued, t0,
                    {{"req_id", static_cast<double>(p->id)},
                     {"queue_depth", static_cast<double>(p->queue_depth_at_admission)}});
-    flight_.record("dequeue", p->id, r.queue_seconds);
+    flight_.record("dequeue", p->id, r.stages.queue_wait_seconds);
     bool cancelled = false;
     {
       std::lock_guard<std::mutex> lk(mutex_);
@@ -694,14 +680,14 @@ void Engine::process_batch(std::vector<std::shared_ptr<Pending>> batch) {
     }
     if (cancelled) {
       r.status = ResultStatus::kCancelled;
-      flight_.record("cancelled", p->id, r.queue_seconds);
+      flight_.record("cancelled", p->id, r.stages.queue_wait_seconds);
       fulfil(*p, std::move(r));
       continue;
     }
     if (t0 > p->deadline) {
       r.status = ResultStatus::kTimedOut;
       r.error = "deadline expired while queued";
-      flight_.record("deadline_missed", p->id, r.queue_seconds, r.error);
+      flight_.record("deadline_missed", p->id, r.stages.queue_wait_seconds, r.error);
       // Dump before fulfilment: a waiter unblocked by the promise may read
       // the dump file immediately.
       maybe_dump_flight("deadline miss");
@@ -766,56 +752,22 @@ void Engine::process_batch(std::vector<std::shared_ptr<Pending>> batch) {
   bool model_ok = pipeline_.has_value();
   std::string model_error = model_ok ? "" : "no model loaded";
   if (model_ok) {
-    const Clock::time_point infer_start = Clock::now();
     try {
       obs::ScopedSpan infer_span("serve_infer", "serve");
-      infer_span.add_arg("batch", static_cast<double>(alive.size()));
-      const train::FeatureView view = pipeline_->view();
-      const train::Normalizer& normalizer = pipeline_->normalizer();
       const int n = static_cast<int>(alive.size());
-      nn::Tensor first = normalizer.input_tensor(alive.front().entry->sample, view);
-      const nn::Shape single = first.shape();
-      nn::Shape batched_shape{n, single.c, single.h, single.w};
-      std::vector<float> data;
-      data.reserve(static_cast<std::size_t>(batched_shape.numel()));
-      data.insert(data.end(), first.data().begin(), first.data().end());
-      for (int i = 1; i < n; ++i) {
-        nn::Tensor t = normalizer.input_tensor(alive[static_cast<std::size_t>(i)]
-                                                   .entry->sample, view);
-        if (!(t.shape() == single)) {
-          throw DimensionError("serve: mixed input shapes in one batch");
-        }
-        data.insert(data.end(), t.data().begin(), t.data().end());
-      }
-      nn::Tensor batched = nn::Tensor::from_data(batched_shape, std::move(data));
-      pipeline_->model().set_training(false);
-      nn::Tensor out = pipeline_->model().forward(batched);
-      IRF_CHECK_FINITE(out.data(), "serve batched inference output");
-      const nn::Shape os = out.shape();
-      if (os.n != n || os.c != 1 || os.h != single.h || os.w != single.w) {
-        throw DimensionError("serve: model returned " + os.str());
-      }
-      const std::size_t plane =
-          static_cast<std::size_t>(single.h) * static_cast<std::size_t>(single.w);
-      const bool add_rough = pipeline_->refines_rough_solution();
+      infer_span.add_arg("batch", static_cast<double>(n));
+      std::vector<const train::Sample*> samples;
+      samples.reserve(alive.size());
+      for (const Work& w : alive) samples.push_back(&w.entry->sample);
+      const Clock::time_point infer_start = Clock::now();
+      std::vector<GridF> maps = pipeline_->predict(samples);
       const Clock::time_point infer_end = Clock::now();
       const double infer_seconds = seconds_between(infer_start, infer_end);
       for (int i = 0; i < n; ++i) {
         Work& w = alive[static_cast<std::size_t>(i)];
-        GridF map(single.h, single.w);
-        const float* src = out.data().data() + static_cast<std::size_t>(i) * plane;
-        for (std::size_t j = 0; j < plane; ++j) {
-          map.data()[j] = src[j] / train::kLabelScale;
-        }
-        if (add_rough) {
-          for (std::size_t j = 0; j < plane; ++j) {
-            map.data()[j] += w.result.rough.data()[j];
-          }
-        }
-        w.result.ir_drop = std::move(map);
+        w.result.ir_drop = std::move(maps[static_cast<std::size_t>(i)]);
         w.result.status = ResultStatus::kOk;
         w.result.batch_size = n;
-        w.result.inference_seconds = infer_seconds;
         w.result.stages.inference_seconds = infer_seconds;
         // Per-request view of the shared forward: same interval, the
         // request's own id — so a trace filtered by req_id still shows the

@@ -12,9 +12,10 @@
 ///    system + AMG hierarchy (the PgSolver) and the fused feature stacks
 ///    are computed once per design and reused, LRU-evicted under a byte
 ///    budget;
-///  * cross-request batched inference: the refinement forwards of every
-///    request in a dispatch batch are stacked into one [N,C,H,W] model
-///    call. Per-sample kernels make this bit-identical to serial analyze()
+///  * cross-request batched inference: every request in a dispatch batch
+///    rides one IrFusionPipeline::predict call — one [N,C,H,W] forward in
+///    train::predict_volts, the same code analyze() runs with N = 1.
+///    Per-sample kernels make this bit-identical to serial analyze()
 ///    (tests/test_serve.cpp pins it);
 ///  * robustness: per-request deadlines checked at stage boundaries,
 ///    cancellation, and graceful degradation to the rough numerical map —
@@ -30,12 +31,12 @@
 /// counters, serve.batch.size / serve.queue.depth_at_admission histograms,
 /// and request-scoped spans — serve_queue_wait / serve_numerical /
 /// serve_infer_share / serve_request all carry the request's `req_id` arg,
-/// alongside the batch-level serve_batch / serve_infer spans. Each
-/// AnalysisResult returns the per-stage latency breakdown (StageTimings)
-/// and the solver convergence behind its rough map. A fixed-size flight
-/// recorder retains recent engine events and is dumped as JSON on
-/// degradation, deadline miss, warm fallback or CheckError
-/// (docs/OBSERVABILITY.md).
+/// alongside the batch-level serve_batch / serve_infer spans (the model's
+/// own `infer` span nests inside serve_infer). Each AnalysisResult returns
+/// the per-stage latency breakdown (StageTimings) and the solver
+/// convergence behind its rough map. A flight recorder retains the last
+/// 256 engine events and is dumped as JSON on degradation, deadline miss,
+/// warm fallback or CheckError (docs/OBSERVABILITY.md).
 
 #include <chrono>
 #include <condition_variable>
@@ -92,7 +93,8 @@ class Engine {
   explicit Engine(core::IrFusionPipeline pipeline, EngineOptions options = {});
 
   /// Model-less engine: every request is answered by the rough numerical
-  /// map in degraded mode (or fails when degradation is disallowed).
+  /// map (3 AMG-PCG iterations on a 64 px raster) in degraded mode, or
+  /// fails when degradation is disallowed.
   explicit Engine(EngineOptions options = {});
 
   /// Load a checkpoint and serve it. A *missing* file degrades gracefully
@@ -125,7 +127,9 @@ class Engine {
   bool cancel(std::uint64_t id);
 
   /// Pause/resume dispatch. Requests keep queueing while paused (deadlines
-  /// keep ticking — a paused engine can time requests out).
+  /// keep ticking — a paused engine can time requests out). Pausing right
+  /// after construction holds back every request: nothing is dispatched
+  /// from an empty queue.
   void pause();
   void resume();
 
@@ -199,14 +203,14 @@ class Engine {
   EngineOptions options_;
   std::optional<core::IrFusionPipeline> pipeline_;
 
-  // Global lock order through the serve path (verified by irf_analyze, see
+  // Lock order through the serve path (verified by irf_analyze, see
   // docs/ANALYSIS.md). submit_impl counts the submission under cache_mutex_
-  // while still holding the queue mutex (so completed <= submitted holds at
-  // every observation point), and cache_mutex_ is held across CacheEntry
-  // footprint accounting, which reaches the matrix's diagonal-cache lock
-  // (csr.cache_mu_ is the global leaf). A Router adds no lock of its own:
-  // every request stays on the shard that admitted it.
-  // irf-lock-order: engine.mutex_ < engine.cache_mutex_ < csr.cache_mu_
+  // while still holding the queue mutex, so completed <= submitted holds at
+  // every observation point. Nothing called under cache_mutex_ takes a
+  // serve, solver or linalg lock (only obs's leaf locks, which take none).
+  // A Router adds no lock of its own: every request stays on the shard
+  // that admitted it.
+  // irf-lock-order: engine.mutex_ < engine.cache_mutex_
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;
   std::condition_variable space_cv_;
@@ -223,7 +227,7 @@ class Engine {
   std::uint64_t lru_tick_ = 0;
   EngineStats stats_;
 
-  obs::FlightRecorder flight_;
+  obs::FlightRecorder flight_;  ///< FlightRecorder::kDefaultCapacity events
 
   std::thread dispatcher_;
 };

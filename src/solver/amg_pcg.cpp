@@ -56,7 +56,6 @@ void AmgPcgSolver::update_matrix_values(const linalg::CsrMatrix& a) {
         "update_matrix_values: sparsity pattern differs from the setup matrix; "
         "the AMG hierarchy cannot be reused (rebuild the solver)");
   }
-  // mutable_values() drops the matrix's cached diagonal values at call time.
   matrix_.mutable_values() = a.values();
   obs::count("solver.hierarchy_reuses");
 }

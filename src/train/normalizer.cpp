@@ -81,14 +81,19 @@ nn::Tensor Normalizer::label_tensor(const Sample& sample) {
       nn::Shape{1, 1, sample.label.height(), sample.label.width()}, std::move(data));
 }
 
-GridF Normalizer::prediction_to_volts(const nn::Tensor& output) {
+std::vector<GridF> Normalizer::prediction_to_volts(const nn::Tensor& output) {
   const nn::Shape& s = output.shape();
-  if (s.n != 1 || s.c != 1) {
-    throw DimensionError("prediction must be [1,1,H,W], got " + s.str());
+  if (s.c != 1) {
+    throw DimensionError("prediction must be [N,1,H,W], got " + s.str());
   }
-  GridF grid = output.to_grid(0, 0);
-  for (float& v : grid.data()) v /= kLabelScale;
-  return grid;
+  std::vector<GridF> maps;
+  maps.reserve(static_cast<std::size_t>(s.n));
+  for (int n = 0; n < s.n; ++n) {
+    GridF grid = output.to_grid(n, 0);
+    for (float& v : grid.data()) v /= kLabelScale;
+    maps.push_back(std::move(grid));
+  }
+  return maps;
 }
 
 }  // namespace irf::train

@@ -32,8 +32,8 @@ class Normalizer {
   /// Label tensor [1, 1, H, W], scaled by kLabelScale.
   static nn::Tensor label_tensor(const Sample& sample);
 
-  /// Convert a model output back to volts.
-  static GridF prediction_to_volts(const nn::Tensor& output);
+  /// Split a model output [N, 1, H, W] into N maps in volts.
+  static std::vector<GridF> prediction_to_volts(const nn::Tensor& output);
 
   /// Serialization access (pipeline checkpoints).
   const std::map<std::string, float>& scales() const { return scales_; }

@@ -80,14 +80,34 @@ TrainHistory train_model(models::IrModel& model, const std::vector<Sample>& samp
   return history;
 }
 
-GridF predict_volts(models::IrModel& model, const Sample& sample, FeatureView view,
-                    const Normalizer& normalizer) {
+std::vector<GridF> predict_volts(models::IrModel& model,
+                                 const std::vector<const Sample*>& batch, FeatureView view,
+                                 const Normalizer& normalizer) {
+  if (batch.empty()) throw ConfigError("predict_volts: empty batch");
   obs::ScopedSpan span("infer", "train");
-  obs::count("train.inferences");
+  obs::count("train.inferences", batch.size());
   model.set_training(false);
-  nn::Tensor input = normalizer.input_tensor(sample, view);
-  nn::Tensor pred = model.forward(input);
+  nn::Shape shape;
+  std::vector<float> data;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const nn::Tensor t = normalizer.input_tensor(*batch[i], view);
+    if (i == 0) {
+      shape = t.shape();
+      data.reserve(static_cast<std::size_t>(shape.numel()) * batch.size());
+    } else if (!(t.shape() == shape)) {
+      throw DimensionError("predict_volts: mixed input shapes " + shape.str() + " and " +
+                           t.shape().str() + " in one batch");
+    }
+    data.insert(data.end(), t.data().begin(), t.data().end());
+  }
+  shape.n = static_cast<int>(batch.size());
+  const nn::Tensor pred = model.forward(nn::Tensor::from_data(shape, std::move(data)));
   IRF_CHECK_FINITE(pred.data(), "model forward output");
+  const nn::Shape& out = pred.shape();
+  if (out.n != shape.n || out.c != 1 || out.h != shape.h || out.w != shape.w) {
+    throw DimensionError("predict_volts: model returned " + out.str() + " for input " +
+                         shape.str());
+  }
   return Normalizer::prediction_to_volts(pred);
 }
 
@@ -103,7 +123,7 @@ AggregateMetrics evaluate_model(models::IrModel& model, const std::vector<Sample
   std::vector<GridF> preds;
   preds.reserve(samples.size());
   for (const Sample& sample : samples) {
-    preds.push_back(predict_volts(model, sample, view, normalizer));
+    preds.push_back(std::move(predict_volts(model, {&sample}, view, normalizer).front()));
   }
   std::vector<MapMetrics> per_design(samples.size());
   par::parallel_for(0, static_cast<std::int64_t>(samples.size()), 1,

@@ -47,9 +47,16 @@ TrainHistory train_model(models::IrModel& model, const std::vector<Sample>& samp
                          FeatureView view, const Normalizer& normalizer,
                          const TrainOptions& options);
 
-/// Per-design prediction in volts.
-GridF predict_volts(models::IrModel& model, const Sample& sample, FeatureView view,
-                    const Normalizer& normalizer);
+/// Batched inference in volts, the one code path that runs a fitted model:
+/// the normalized inputs of `batch` are stacked into one [N,C,H,W] tensor,
+/// one forward runs, and the [N,1,H,W] output comes back as one map per
+/// sample, in batch order. Per-sample kernels make every map bit-identical
+/// to a one-element call. Throws irf::DimensionError when the samples'
+/// input shapes differ or the model returns a wrong shape, irf::CheckError
+/// (debug checks) on a non-finite output.
+std::vector<GridF> predict_volts(models::IrModel& model,
+                                 const std::vector<const Sample*>& batch, FeatureView view,
+                                 const Normalizer& normalizer);
 
 /// Evaluate on held-out samples; `extra_runtime_per_design` accounts for the
 /// numerical stage of fusion methods (solver + feature time).

@@ -1,18 +1,18 @@
-// Tests for the ICCAD-2023-style dataset import/export layer and for
-// pipeline checkpointing (save a fitted pipeline, reload, identical
-// predictions without retraining).
+// Tests for the ICCAD-2023-style dataset import/export layer. Pipeline
+// checkpoints (irf::save_checkpoint / load_checkpoint) are tested in
+// test_serve.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 
 #include "common/env.hpp"
-#include "core/pipeline.hpp"
 #include "models/unet.hpp"
+#include "train/dataset.hpp"
 #include "train/iccad_io.hpp"
+#include "train/trainer.hpp"
 
 namespace irf::train {
 namespace {
@@ -112,48 +112,6 @@ TEST_F(IoFixture, TrainOnImportedImageData) {
 
 TEST(IccadIo, ImportRejectsMissingDirectory) {
   EXPECT_THROW(import_design("/nonexistent/irf_dir"), ParseError);
-}
-
-TEST_F(IoFixture, PipelineCheckpointRoundTrip) {
-  core::PipelineConfig pc;
-  pc.image_size = 32;
-  pc.rough_iterations = 2;
-  pc.base_channels = 4;
-  pc.epochs = 2;
-  pc.seed = 9;
-  core::IrFusionPipeline pipeline(pc);
-  pipeline.fit(set_->train);
-
-  const GridF before = pipeline.analyze(*set_->test.front().design);
-
-  const std::string path =
-      (fs::temp_directory_path() / "irf_pipeline_ckpt.bin").string();
-  pipeline.save(path);
-  core::IrFusionPipeline restored = core::IrFusionPipeline::load(path);
-  EXPECT_TRUE(restored.is_fitted());
-  EXPECT_EQ(restored.config().rough_iterations, 2);
-
-  const GridF after = restored.analyze(*set_->test.front().design);
-  ASSERT_TRUE(before.same_shape(after));
-  for (std::size_t i = 0; i < before.size(); ++i) {
-    EXPECT_NEAR(before.data()[i], after.data()[i], 1e-6f);
-  }
-  fs::remove(path);
-}
-
-TEST(PipelineCheckpoint, UnfittedSaveRejected) {
-  core::PipelineConfig pc;
-  pc.image_size = 32;
-  core::IrFusionPipeline pipeline(pc);
-  EXPECT_THROW(pipeline.save("/tmp/never_written.bin"), ConfigError);
-}
-
-TEST(PipelineCheckpoint, BogusFileRejected) {
-  const std::string path =
-      (fs::temp_directory_path() / "irf_bogus_ckpt.bin").string();
-  std::ofstream(path) << "not a checkpoint";
-  EXPECT_THROW(core::IrFusionPipeline::load(path), ParseError);
-  fs::remove(path);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -170,33 +171,78 @@ TEST(CsrMatrix, IdentityMultiply) {
   for (int i = 0; i < 4; ++i) EXPECT_DOUBLE_EQ(y[i], x[i]);
 }
 
-TEST(CsrCache, MutableValuesInvalidatesCachedDiagonal) {
-  CsrMatrix a = laplacian_1d(30);
-  const Vec before = a.cached_diagonal();         // builds + caches
-  for (double& v : a.mutable_values()) v *= 2.0;  // must drop the cached values
-  const Vec& after = a.cached_diagonal();
-  ASSERT_EQ(after.size(), before.size());
-  for (std::size_t i = 0; i < after.size(); ++i) EXPECT_EQ(after[i], 2.0 * before[i]);
+TEST(CsrMatrix, DiagIndexMatchesAtAfterValueSwapAndCopy) {
+  // Row 0 sums a duplicate diagonal entry; row 2 has no diagonal entry.
+  TripletBuilder b(4, 4);
+  b.add(0, 1, -1.0);
+  b.add(0, 0, 3.0);
+  b.add(0, 0, 1.0);
+  b.add(1, 0, -1.0);
+  b.add(1, 1, 2.0);
+  b.add(1, 2, -0.5);
+  b.add(2, 1, -0.5);
+  b.add(2, 3, 1.0);
+  b.add(3, 3, 5.0);
+  CsrMatrix a = CsrMatrix::from_triplets(b);
+  const auto expect_positions = [](const CsrMatrix& m) {
+    ASSERT_EQ(m.diag_index().size(), static_cast<std::size_t>(m.rows()));
+    for (int r = 0; r < m.rows(); ++r) {
+      const int k = m.diag_index()[static_cast<std::size_t>(r)];
+      const auto row_begin = m.col_idx().begin() + m.row_ptr()[r];
+      const auto row_end = m.col_idx().begin() + m.row_ptr()[r + 1];
+      if (k < 0) {
+        EXPECT_FALSE(std::binary_search(row_begin, row_end, r)) << "row " << r;
+        continue;
+      }
+      EXPECT_EQ(m.col_idx()[static_cast<std::size_t>(k)], r);
+      EXPECT_EQ(m.values()[static_cast<std::size_t>(k)], m.at(r, r)) << "row " << r;
+    }
+  };
+  expect_positions(a);
+  EXPECT_EQ(a.diag_index()[2], -1);
+  EXPECT_EQ(a.at(0, 0), 4.0);
+
+  for (double& v : a.mutable_values()) v *= 2.0;  // values change, structure stays
+  expect_positions(a);
+  EXPECT_EQ(a.at(0, 0), 8.0);
+
+  const CsrMatrix copy = a;
+  expect_positions(copy);
+  EXPECT_EQ(copy.diag_index(), a.diag_index());
 }
 
-TEST(CsrCache, MemoryBytesCountsTheDiagonalCache) {
-  const CsrMatrix a = laplacian_1d(400);
-  const std::size_t before = a.memory_bytes();
-  (void)a.cached_diagonal();  // builds the lazy diagonal caches
-  EXPECT_GT(a.memory_bytes(), before);
+/// The diagonal as the smoothers read it: through the recorded positions.
+Vec diagonal_via_index(const CsrMatrix& m) {
+  Vec d(m.diag_index().size(), 0.0);
+  for (std::size_t r = 0; r < d.size(); ++r) {
+    const int k = m.diag_index()[r];
+    if (k >= 0) d[r] = m.values()[static_cast<std::size_t>(k)];
+  }
+  return d;
+}
+
+TEST(CsrCache, MutableValuesInvalidatesCachedDiagonal) {
+  CsrMatrix a = laplacian_1d(30);
+  const Vec before = diagonal_via_index(a);
+  for (double& v : a.mutable_values()) v *= 2.0;  // the recorded positions must still hold
+  const Vec after = diagonal_via_index(a);
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < after.size(); ++i) EXPECT_EQ(after[i], 2.0 * before[i]);
+  EXPECT_EQ(after, a.diagonal());
 }
 
 TEST(CsrCache, CopyAndMoveDropCaches) {
   CsrMatrix a = laplacian_1d(200);
-  const Vec diag = a.cached_diagonal();  // warm the cache
+  const Vec diag = diagonal_via_index(a);
 
-  CsrMatrix copy = a;  // caches are not copied, results still identical
-  EXPECT_EQ(copy.cached_diagonal(), diag);
+  CsrMatrix copy = a;
+  EXPECT_EQ(diagonal_via_index(copy), diag);
 
   CsrMatrix moved = std::move(copy);
-  EXPECT_EQ(moved.cached_diagonal(), diag);
-  EXPECT_EQ(copy.rows(), 0);  // the moved-from source keeps no arrays or caches
-  EXPECT_TRUE(copy.cached_diagonal().empty());
+  EXPECT_EQ(diagonal_via_index(moved), diag);
+  EXPECT_EQ(copy.rows(), 0);  // the moved-from source keeps no arrays
+  EXPECT_TRUE(diagonal_via_index(copy).empty());
+  EXPECT_TRUE(copy.diagonal().empty());
 }
 
 TEST(Cholesky, SolvesSpdSystem) {

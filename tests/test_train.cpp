@@ -110,10 +110,41 @@ TEST_F(TrainFixture, NormalizerBoundsInputs) {
 TEST_F(TrainFixture, LabelTensorRoundTrip) {
   const Sample& s = samples_->front();
   nn::Tensor label = Normalizer::label_tensor(s);
-  GridF volts = Normalizer::prediction_to_volts(label);
-  for (std::size_t i = 0; i < volts.size(); ++i) {
-    EXPECT_NEAR(volts.data()[i], s.label.data()[i], 1e-7f);
+  const std::vector<GridF> volts = Normalizer::prediction_to_volts(label);
+  ASSERT_EQ(volts.size(), 1u);
+  for (std::size_t i = 0; i < volts[0].size(); ++i) {
+    EXPECT_NEAR(volts[0].data()[i], s.label.data()[i], 1e-7f);
   }
+}
+
+TEST_F(TrainFixture, PredictVoltsBatchMatchesOneSampleCalls) {
+  ASSERT_GE(samples_->size(), 3u);
+  const Normalizer norm = Normalizer::fit(*samples_);
+  Rng rng(8);
+  const int ch = view_channel_count(samples_->front(), FeatureView::kFusionHier);
+  auto model = models::make_ir_fusion_net(ch, 4, rng);
+  const std::vector<const Sample*> batch = {&(*samples_)[0], &(*samples_)[1],
+                                            &(*samples_)[2]};
+  const std::vector<GridF> batched =
+      predict_volts(*model, batch, FeatureView::kFusionHier, norm);
+  ASSERT_EQ(batched.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const std::vector<GridF> single =
+        predict_volts(*model, {batch[i]}, FeatureView::kFusionHier, norm);
+    ASSERT_EQ(single.size(), 1u);
+    EXPECT_EQ(batched[i].data(), single[0].data()) << "sample " << i;  // exact
+  }
+}
+
+TEST_F(TrainFixture, PredictVoltsRejectsMixedShapes) {
+  const Normalizer norm = Normalizer::fit(*samples_);
+  Rng rng(9);
+  const int ch = view_channel_count(samples_->front(), FeatureView::kFusionHier);
+  auto model = models::make_ir_fusion_net(ch, 4, rng);
+  const Sample large = make_sample(set_->train.front(), 2, 64);
+  EXPECT_THROW(predict_volts(*model, {&samples_->front(), &large},
+                             FeatureView::kFusionHier, norm),
+               DimensionError);
 }
 
 TEST(Metrics, PerfectPrediction) {

@@ -28,7 +28,7 @@
 namespace irf::analyze {
 
 /// One violation. `key` is the line-number-free identity used for baseline
-/// matching (e.g. "common->obs", "IRF_FOO", "engine.mutex_->csr.cache_mu_"),
+/// matching (e.g. "common->obs", "IRF_FOO", "engine.mutex_->engine.cache_mutex_"),
 /// so a committed baseline survives unrelated edits to the flagged file.
 struct Finding {
   std::string file;

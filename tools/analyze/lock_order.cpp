@@ -38,8 +38,8 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
-/// Last identifier in a lock-argument expression: "this->cache_mu_" ->
-/// "cache_mu_", "other.m" -> "m". Empty for non-lvalue args.
+/// Last identifier in a lock-argument expression: "this->cache_mutex_" ->
+/// "cache_mutex_", "other.m" -> "m". Empty for non-lvalue args.
 std::string final_identifier(const std::string& expr) {
   const std::string e = trim(expr);
   if (e.empty()) return "";
