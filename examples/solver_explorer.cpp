@@ -1,6 +1,6 @@
-// Solver explorer: compares plain CG, Jacobi-PCG and AMG-PCG (V-cycle and
-// K-cycle) on the same power grid and prints the residual history — a look
-// inside Fig. 3's "Setup / Preconditioning / CG" pipeline.
+// Solver explorer: compares plain CG, Jacobi-PCG and AMG-PCG (K-cycle) on
+// the same power grid and prints the residual history — a look inside
+// Fig. 3's "Setup / Preconditioning / CG" pipeline.
 //
 // Usage: solver_explorer [image_px]   (default 48)
 
@@ -38,23 +38,16 @@ int main(int argc, char** argv) {
     std::cout << "Jacobi-PCG    : " << std::setw(6) << jac.iterations << " iterations, "
               << jac.solve_seconds << " s\n";
 
-    for (solver::CycleType cycle : {solver::CycleType::kV, solver::CycleType::kK}) {
-      solver::AmgOptions amg_opt;
-      amg_opt.cycle = cycle;
-      solver::AmgPcgSolver amg(sys.conductance, amg_opt);
-      solver::SolveResult r = amg.solve(sys.rhs, opt);
-      std::cout << "AMG-PCG (" << (cycle == solver::CycleType::kV ? "V" : "K")
-                << ")   : " << std::setw(6) << r.iterations << " iterations, "
-                << r.solve_seconds << " s solve + " << amg.setup_seconds()
-                << " s setup, " << amg.hierarchy().num_levels() << " levels, op.cx "
-                << std::setprecision(2) << amg.hierarchy().operator_complexity() << "\n";
-      if (cycle == solver::CycleType::kK) {
-        std::cout << "\nK-cycle residual history (||r||_2):\n  ";
-        for (std::size_t i = 0; i < r.residual_history.size(); ++i) {
-          std::cout << std::scientific << std::setprecision(2) << r.residual_history[i]
-                    << (i + 1 < r.residual_history.size() ? " -> " : "\n");
-        }
-      }
+    solver::AmgPcgSolver amg(sys.conductance);
+    solver::SolveResult r = amg.solve(sys.rhs, opt);
+    std::cout << "AMG-PCG (K)   : " << std::setw(6) << r.iterations << " iterations, "
+              << r.solve_seconds << " s solve + " << amg.setup_seconds() << " s setup, "
+              << amg.hierarchy().num_levels() << " levels, op.cx " << std::setprecision(2)
+              << amg.hierarchy().operator_complexity() << "\n";
+    std::cout << "\nK-cycle residual history (||r||_2):\n  ";
+    for (std::size_t i = 0; i < r.residual_history.size(); ++i) {
+      std::cout << std::scientific << std::setprecision(2) << r.residual_history[i]
+                << (i + 1 < r.residual_history.size() ? " -> " : "\n");
     }
     return 0;
   } catch (const std::exception& e) {

@@ -25,7 +25,7 @@ train::TrainOptions baseline_train_options(const ScaleConfig& config) {
   options.epochs = config.epochs;
   options.learning_rate = config.learning_rate;
   options.seed = config.seed + 17;
-  options.curriculum.enabled = false;  // curriculum is IR-Fusion's technique
+  options.curriculum = false;  // curriculum is IR-Fusion's technique
   return options;
 }
 

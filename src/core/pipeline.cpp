@@ -95,7 +95,7 @@ train::TrainHistory IrFusionPipeline::fit(
   options.epochs = config_.epochs;
   options.learning_rate = config_.learning_rate;
   options.seed = config_.seed + 1;
-  options.curriculum.enabled = config_.use_curriculum;
+  options.curriculum = config_.use_curriculum;
   // Converge the refinement head cleanly: gentle cosine LR decay plus a
   // little decoupled weight decay keep the learned correction's noise floor
   // low at large iteration budgets. The decay floor stays moderate because

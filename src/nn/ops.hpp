@@ -3,7 +3,9 @@
 /// \file ops.hpp
 /// Differentiable operations over nn::Tensor. Every op records a tape entry
 /// so Tensor::backward() can propagate gradients; ops with no grad-requiring
-/// inputs skip the tape entirely (inference mode falls out for free).
+/// inputs skip the tape. Every registered module weight requires grad, so a
+/// model forward records the tape even at inference (there is no no-grad
+/// mode yet).
 
 #include <vector>
 

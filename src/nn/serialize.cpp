@@ -1,13 +1,12 @@
 #include "nn/serialize.hpp"
 
 #include <cstdint>
-#include <fstream>
 #include <istream>
 #include <ostream>
+#include <string>
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
-#include "common/hash.hpp"
 #include "nn/module.hpp"
 
 namespace irf::nn {
@@ -28,13 +27,6 @@ void save_parameters(const std::vector<Tensor>& params, std::ostream& out) {
     write_bytes(out, p.data().data(), p.data().size() * sizeof(float));
   }
   if (!out) throw Error("checkpoint stream write failed");
-}
-
-void save_parameters(const std::vector<Tensor>& params, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw Error("cannot open checkpoint for write: " + path);
-  save_parameters(params, out);
-  if (!out) throw Error("checkpoint write failed: " + path);
 }
 
 void load_parameters(std::vector<Tensor>& params, std::istream& in) {
@@ -90,12 +82,6 @@ void load_buffers(const std::vector<std::vector<float>*>& buffers, std::istream&
   }
 }
 
-void load_parameters(std::vector<Tensor>& params, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot open checkpoint for read: " + path);
-  load_parameters(params, in);
-}
-
 void save_state(Module& module, std::ostream& out) {
   save_parameters(module.parameters(), out);
   save_buffers(module.buffers(), out);
@@ -105,24 +91,6 @@ void load_state(Module& module, std::istream& in) {
   std::vector<Tensor> params = module.parameters();
   load_parameters(params, in);
   load_buffers(module.buffers(), in);
-}
-
-std::uint64_t state_checksum(Module& module) {
-  Fnv1a64 h;
-  for (const Tensor& p : module.parameters()) {
-    const Shape& s = p.shape();
-    h.update_pod(s.n);
-    h.update_pod(s.c);
-    h.update_pod(s.h);
-    h.update_pod(s.w);
-    h.update(p.data().data(), p.data().size() * sizeof(float));
-  }
-  for (const std::vector<float>* buf : module.buffers()) {
-    const std::uint64_t n = buf->size();
-    h.update_pod(n);
-    h.update(buf->data(), buf->size() * sizeof(float));
-  }
-  return h.value();
 }
 
 }  // namespace irf::nn

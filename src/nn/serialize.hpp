@@ -1,23 +1,21 @@
 #pragma once
 
 /// \file serialize.hpp
-/// Binary checkpointing of a parameter list. Format: magic, count, then per
-/// tensor shape + raw float payload. Parameter order must match between save
-/// and load (models are deterministic, so it does).
+/// Binary stream sections for a parameter list. Format: magic, count, then
+/// per tensor shape + raw float payload. Parameter order must match between
+/// save and load (models are deterministic, so it does). The one file format
+/// that embeds them is the serve checkpoint (serve/checkpoint.hpp).
 
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "nn/tensor.hpp"
 
 namespace irf::nn {
 
-void save_parameters(const std::vector<Tensor>& params, const std::string& path);
 void save_parameters(const std::vector<Tensor>& params, std::ostream& out);
 
 /// Load into existing parameters (shapes must match exactly).
-void load_parameters(std::vector<Tensor>& params, const std::string& path);
 void load_parameters(std::vector<Tensor>& params, std::istream& in);
 
 /// Persist/restore module buffers (e.g. BatchNorm running statistics).
@@ -34,10 +32,5 @@ class Module;
 /// construction is deterministic, so it does).
 void save_state(Module& module, std::ostream& out);
 void load_state(Module& module, std::istream& in);
-
-/// FNV-1a 64 digest over every parameter and buffer payload (shapes
-/// included), in traversal order. Lets checkpoint readers verify weights
-/// without re-serializing them.
-std::uint64_t state_checksum(Module& module);
 
 }  // namespace irf::nn

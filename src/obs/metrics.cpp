@@ -36,10 +36,11 @@ void atomic_max(std::atomic<double>& slot, double value) {
 
 int Histogram::bucket_index(double value) {
   if (!(value >= kMinTracked)) return 0;  // underflow (also NaN, <=0)
-  const double decades = std::log10(value / kMinTracked);
-  const int inner = static_cast<int>(decades * kBucketsPerDecade);
-  if (inner >= kDecades * kBucketsPerDecade) return kNumBuckets - 1;  // overflow
-  return 1 + inner;
+  // Decide overflow in double: +inf (or anything past the top decade) must
+  // never reach the int cast, where it would be out of range.
+  const double inner = std::log10(value / kMinTracked) * kBucketsPerDecade;
+  if (!(inner < kDecades * kBucketsPerDecade)) return kNumBuckets - 1;  // overflow
+  return 1 + static_cast<int>(inner);
 }
 
 double Histogram::bucket_upper_bound(int index) {

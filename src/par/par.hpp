@@ -48,7 +48,9 @@ void set_num_threads(int n);
 void shutdown();
 
 /// Parse an IRF_THREADS-style value: nullptr/"" / "0" -> hardware_threads(),
-/// a positive integer -> itself. Throws irf::ConfigError on anything else.
+/// a positive integer -> itself. Never throws: a non-integer warns and
+/// falls back to hardware_threads(), a negative value warns and clamps to
+/// 1, a value above 4096 warns and clamps to 4096.
 int parse_threads_env(const char* value);
 
 /// Default chunk size for elementwise vector loops.

@@ -8,9 +8,9 @@
 
 namespace irf::pg {
 
-PgSolver::PgSolver(const PgDesign& design, solver::AmgOptions amg_options)
+PgSolver::PgSolver(const PgDesign& design)
     : design_(&design), mna_(assemble_mna(design.netlist)) {
-  solver_ = std::make_unique<solver::AmgPcgSolver>(mna_.conductance, amg_options);
+  solver_ = std::make_unique<solver::AmgPcgSolver>(mna_.conductance);
 }
 
 PgSolution PgSolver::finalize(const solver::SolveResult& result) const {

@@ -29,8 +29,7 @@ struct PgSolution {
 /// across value-only design edits without repeating the setup stage.
 class PgSolver {
  public:
-  explicit PgSolver(const PgDesign& design,
-                    solver::AmgOptions amg_options = {});
+  explicit PgSolver(const PgDesign& design);
 
   /// Solve to a tight tolerance (golden label quality).
   PgSolution solve_golden(double rel_tolerance = 1e-10) const;
@@ -47,10 +46,12 @@ class PgSolver {
                         int max_iterations) const;
 
   /// Re-target this context at a topology-identical design: reassemble MNA,
-  /// swap the new conductance values into the frozen AMG hierarchy, adopt
-  /// the new rhs. Throws NumericError when the design's sparsity pattern
-  /// does not match (i.e. the topology actually changed) — the caller falls
-  /// back to building a fresh PgSolver. `design` must outlive this object.
+  /// swap the new conductance values into the outer PCG operator, adopt the
+  /// new rhs. The AMG hierarchy keeps its setup values by design: the
+  /// flexible PCG tolerates the now-approximate preconditioner. Throws
+  /// NumericError when the design's sparsity pattern does not match (i.e.
+  /// the topology actually changed) — the caller falls back to building a
+  /// fresh PgSolver. `design` must outlive this object.
   void rebind(const PgDesign& design);
 
   const PgDesign& design() const { return *design_; }

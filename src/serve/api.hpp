@@ -8,7 +8,6 @@
 /// numerical-only fallback, or not at all (timeout / cancellation / error).
 /// These types are re-exported at the top level by the irf.hpp facade.
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -25,8 +24,7 @@ enum class ResultStatus {
   kTimedOut,  ///< deadline expired before the engine finished the request
   kCancelled, ///< cancelled via Engine::cancel() or engine shutdown
   kFailed,    ///< hard error; see AnalysisResult::error
-  kShed,      ///< rejected by admission control (class quota, or evicted
-              ///< from a full queue by a higher-priority arrival)
+  kShed,      ///< evicted from a full queue by a higher-priority arrival
 };
 
 /// Human-readable status label ("ok", "degraded", ...), for logs and JSON.
@@ -35,16 +33,13 @@ const char* status_name(ResultStatus status);
 /// Request priority class for admission control (docs/API.md "Sharded
 /// serving"). Higher values matter more: when the queue is saturated an
 /// arriving request may shed a queued request of a strictly lower class
-/// (shed-lowest-first), and per-class quotas can cap how much of the queue
-/// one class may occupy. Priorities never reorder dispatch — the queue
+/// (shed-lowest-first). Priorities never reorder dispatch — the queue
 /// stays FIFO — they only decide who gets a queue slot under pressure.
 enum class Priority {
   kBatch = 0,        ///< bulk/offline work; first to be shed
   kNormal = 1,       ///< default class
   kInteractive = 2,  ///< latency-sensitive; may displace lower classes
 };
-
-inline constexpr int kNumPriorities = 3;
 
 /// Human-readable priority label ("batch", "normal", "interactive").
 const char* priority_name(Priority priority);
@@ -62,14 +57,9 @@ struct AnalysisRequest {
   /// timed-out request never occupies a batch slot.
   double timeout_seconds = 0.0;
 
-  /// Allow the rough numerical fallback when the model path is unavailable.
-  /// When false, such requests fail instead of degrading.
-  bool allow_degraded = true;
-
   /// Admission-control class (see Priority). Under saturation a request of
   /// a strictly higher class may shed the oldest queued request of the
-  /// lowest class present; per-class quotas (EngineOptions::priority_quotas)
-  /// reject at admission with kShed.
+  /// lowest class present, which then resolves with kShed.
   Priority priority = Priority::kNormal;
 };
 
@@ -141,16 +131,8 @@ struct AnalysisResult {
 struct EngineOptions {
   int max_batch = 8;            ///< max requests fused into one NN forward
   int queue_capacity = 64;      ///< bounded work queue; submit blocks when full
-
-  /// Per-class queue quotas, indexed by Priority (0 = unlimited). A request
-  /// whose class already occupies its quota of queue slots is rejected at
-  /// admission: its future resolves immediately with kShed. Quotas bound
-  /// how much of a saturated queue bulk traffic may own; they are checked
-  /// before the shared-capacity backpressure.
-  std::array<int, kNumPriorities> priority_quotas{{0, 0, 0}};
   std::size_t cache_budget_bytes = std::size_t{256} << 20;  ///< per-design cache
   double default_timeout_seconds = 0.0;  ///< 0 = requests never expire
-  bool allow_degraded = true;   ///< engine-wide master switch for the fallback
 
   /// Incremental re-analysis: when a request misses the content cache but a
   /// cached entry has the identical topology up to a bounded value delta

@@ -36,9 +36,6 @@ void validate_options(const EngineOptions& options) {
   if (options.queue_capacity < 1) {
     throw ConfigError("serve: queue_capacity must be >= 1");
   }
-  for (int quota : options.priority_quotas) {
-    if (quota < 0) throw ConfigError("serve: priority quotas must be >= 0");
-  }
   if (options.debug_batch_delay_seconds < 0.0) {
     throw ConfigError("serve: debug_batch_delay_seconds must be >= 0");
   }
@@ -87,9 +84,6 @@ Engine::Engine(EngineOptions options) : options_(options) { start(); }
 std::unique_ptr<Engine> Engine::from_checkpoint(const std::string& path,
                                                 EngineOptions options) {
   if (!std::filesystem::exists(path)) {
-    if (!options.allow_degraded) {
-      throw Error("serve: model checkpoint missing: " + path);
-    }
     obs::info() << "serve: checkpoint " << path
                 << " missing; engine starts degraded (numerical map only)";
     return std::make_unique<Engine>(options);
@@ -168,17 +162,20 @@ std::optional<Engine::Ticket> Engine::submit_impl(AnalysisRequest request,
   const double timeout = pending->request.timeout_seconds > 0.0
                              ? pending->request.timeout_seconds
                              : options_.default_timeout_seconds;
-  if (timeout > 0.0) {
-    pending->deadline =
-        pending->enqueued + std::chrono::duration_cast<Clock::duration>(
-                                std::chrono::duration<double>(timeout));
+  // A deadline the clock cannot represent is no deadline. The range check
+  // runs in double, so an out-of-range timeout is never converted; the
+  // integer check after the cast absorbs double rounding at the edge.
+  const Clock::duration headroom = Clock::time_point::max() - pending->enqueued;
+  if (timeout > 0.0 && timeout < std::chrono::duration<double>(headroom).count()) {
+    const auto wait = std::chrono::duration_cast<Clock::duration>(
+        std::chrono::duration<double>(timeout));
+    if (wait < headroom) pending->deadline = pending->enqueued + wait;
   }
   Ticket ticket;
   ticket.result = pending->promise.get_future();
 
   const int cls = static_cast<int>(pending->request.priority);
   std::shared_ptr<Pending> shed_victim;  // evicted by this (higher-class) arrival
-  bool quota_shed = false;               // this arrival rejected by its class quota
   bool shutdown = false;
   {
     // One lock acquisition covers the whole admission decision AND the
@@ -188,15 +185,7 @@ std::optional<Engine::Ticket> Engine::submit_impl(AnalysisRequest request,
     const auto queue_full = [&] {
       return queue_.size() >= static_cast<std::size_t>(options_.queue_capacity);
     };
-    const int quota = options_.priority_quotas[static_cast<std::size_t>(cls)];
-    if (!stop_ && quota > 0) {
-      int occupied = 0;
-      for (const std::shared_ptr<Pending>& p : queue_) {
-        if (static_cast<int>(p->request.priority) == cls) ++occupied;
-      }
-      quota_shed = occupied >= quota;
-    }
-    if (!stop_ && !quota_shed && queue_full()) {
+    if (!stop_ && queue_full()) {
       // Shed-lowest-first: a saturated queue admits a higher class by
       // evicting the oldest queued request of the lowest class present —
       // but only a class strictly below the arrival's. Equal-class traffic
@@ -226,13 +215,13 @@ std::optional<Engine::Ticket> Engine::submit_impl(AnalysisRequest request,
     shutdown = stop_;
     // Count the submission before the request can possibly be fulfilled so
     // completed <= submitted holds at every observation point — including
-    // the immediate shutdown/shed resolutions below. Taking cache_mutex_
+    // the immediate shutdown resolution below. Taking cache_mutex_
     // under mutex_ follows the declared engine lock order.
     {
       std::lock_guard<std::mutex> ck(cache_mutex_);
       ++stats_.submitted;
     }
-    if (!shutdown && !quota_shed) {
+    if (!shutdown) {
       queue_.push_back(pending);
       pending->queue_depth_at_admission = static_cast<int>(queue_.size());
       obs::set_gauge("serve.queue.depth", static_cast<double>(queue_.size()));
@@ -247,13 +236,6 @@ std::optional<Engine::Ticket> Engine::submit_impl(AnalysisRequest request,
   }
   if (shutdown) {
     fulfil_without_service(pending, ResultStatus::kCancelled, nullptr);
-    return ticket;
-  }
-  if (quota_shed) {
-    flight_.record("shed", pending->id, static_cast<double>(cls),
-                   pending->request.design->name);
-    fulfil_without_service(pending, ResultStatus::kShed,
-                           "class quota exhausted at admission");
     return ticket;
   }
   obs::record_histogram("serve.queue.depth_at_admission",
@@ -795,17 +777,11 @@ void Engine::process_batch(std::vector<std::shared_ptr<Pending>> batch) {
     // Graceful degradation: the rough numerical map is still a usable
     // answer. Flag it so callers can tell refined from degraded output.
     for (Work& w : alive) {
-      const bool allowed = options_.allow_degraded && w.pending->request.allow_degraded;
-      if (allowed) {
-        w.result.status = ResultStatus::kDegraded;
-        w.result.ir_drop = w.result.rough;
-        w.result.batch_size = static_cast<int>(alive.size());
-        w.result.error = model_error;
-        flight_.record("degraded", w.result.req_id, 0.0, model_error);
-      } else {
-        w.result.status = ResultStatus::kFailed;
-        w.result.error = "model path unavailable: " + model_error;
-      }
+      w.result.status = ResultStatus::kDegraded;
+      w.result.ir_drop = w.result.rough;
+      w.result.batch_size = static_cast<int>(alive.size());
+      w.result.error = model_error;
+      flight_.record("degraded", w.result.req_id, 0.0, model_error);
     }
     maybe_dump_flight("degradation");
   }

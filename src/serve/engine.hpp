@@ -73,7 +73,7 @@ struct EngineStats {
   std::uint64_t timeouts = 0;
   std::uint64_t cancelled = 0;
   std::uint64_t failures = 0;
-  std::uint64_t shed = 0;  ///< rejected by admission control (kShed)
+  std::uint64_t shed = 0;  ///< evicted by a higher-priority arrival (kShed)
   std::uint64_t batches = 0;
   std::size_t cache_bytes = 0;
   int cache_entries = 0;
@@ -93,13 +93,12 @@ class Engine {
   explicit Engine(core::IrFusionPipeline pipeline, EngineOptions options = {});
 
   /// Model-less engine: every request is answered by the rough numerical
-  /// map (3 AMG-PCG iterations on a 64 px raster) in degraded mode, or
-  /// fails when degradation is disallowed.
+  /// map (3 AMG-PCG iterations on a 64 px raster) in degraded mode.
   explicit Engine(EngineOptions options = {});
 
-  /// Load a checkpoint and serve it. A *missing* file degrades gracefully
-  /// when options.allow_degraded is set (the engine runs model-less and
-  /// counts serve.degraded); an unreadable or corrupt file always throws.
+  /// Load a checkpoint and serve it. A *missing* file gives a model-less
+  /// engine (has_model() is false, every result kDegraded, counted in
+  /// serve.degraded); an unreadable or corrupt file throws.
   static std::unique_ptr<Engine> from_checkpoint(const std::string& path,
                                                  EngineOptions options = {});
 
@@ -173,7 +172,7 @@ class Engine {
   /// non-blocking caller can never be parked on space_cv_ by a producer
   /// that slipped in between a capacity check and the enqueue.
   std::optional<Ticket> submit_impl(AnalysisRequest request, bool blocking);
-  /// Resolve an accepted-but-not-served request (admission shed, shutdown
+  /// Resolve an accepted-but-not-served request (shed victim, shutdown
   /// cancel). Counts submitted+completed exactly once each.
   void fulfil_without_service(const std::shared_ptr<Pending>& pending,
                               ResultStatus status, const char* error);

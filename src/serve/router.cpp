@@ -71,9 +71,6 @@ Router::Router(RouterOptions options) : options_(options) {
 std::unique_ptr<Router> Router::from_checkpoint(const std::string& path,
                                                 RouterOptions options) {
   if (!std::filesystem::exists(path)) {
-    if (!options.engine.allow_degraded) {
-      throw Error("serve: model checkpoint missing: " + path);
-    }
     obs::info() << "serve: checkpoint " << path
                 << " missing; router starts degraded (numerical map only)";
     return std::make_unique<Router>(options);

@@ -13,7 +13,7 @@
 ///
 /// A request never leaves the shard that admitted it: it is queued,
 /// served, cancelled and counted there. Admission control (priority
-/// classes, per-class quotas, shed-lowest-first) is each shard's own
+/// classes, shed-lowest-first) is each shard's own
 /// Engine::submit_impl. The Router holds no mutable state and no lock; it
 /// adds Engine-compatible aggregate stats() and the `serve.shard.s<i>.*`
 /// gauges (docs/OBSERVABILITY.md).
@@ -49,13 +49,12 @@ class Router {
   explicit Router(core::IrFusionPipeline pipeline, RouterOptions options = {});
 
   /// Model-less router: every shard answers with the rough numerical map
-  /// in degraded mode (or fails when degradation is disallowed).
+  /// in degraded mode.
   explicit Router(RouterOptions options = {});
 
-  /// Load a checkpoint once and clone it across shards. A missing file
-  /// degrades gracefully when options.engine.allow_degraded is set; an
-  /// unreadable or corrupt file always throws (same contract as
-  /// Engine::from_checkpoint).
+  /// Load a checkpoint once and clone it across shards. A missing file gives
+  /// a model-less router (every result kDegraded); an unreadable or corrupt
+  /// file throws (same contract as Engine::from_checkpoint).
   static std::unique_ptr<Router> from_checkpoint(const std::string& path,
                                                  RouterOptions options = {});
 

@@ -13,18 +13,26 @@ namespace irf::solver {
 using linalg::CsrMatrix;
 using linalg::Vec;
 
-AmgHierarchy::AmgHierarchy(const CsrMatrix& a, AmgOptions options)
-    : options_(options) {
+namespace {
+
+/// Stop coarsening when a level has at most this many unknowns.
+constexpr int kCoarsestSize = 64;
+/// Safety cap on hierarchy depth.
+constexpr int kMaxLevels = 20;
+/// Strength-of-coupling threshold for pairwise aggregation.
+constexpr double kStrengthThreshold = 0.25;
+
+}  // namespace
+
+AmgHierarchy::AmgHierarchy(const CsrMatrix& a) {
   if (a.rows() != a.cols()) throw DimensionError("AMG needs a square matrix");
   if (a.rows() == 0) throw DimensionError("AMG needs a non-empty matrix");
 
   levels_.push_back(AmgLevel{a, std::nullopt});
-  while (static_cast<int>(levels_.size()) < options_.max_levels &&
-         levels_.back().matrix.rows() > options_.coarsest_size) {
+  while (static_cast<int>(levels_.size()) < kMaxLevels &&
+         levels_.back().matrix.rows() > kCoarsestSize) {
     const CsrMatrix& fine = levels_.back().matrix;
-    Aggregation agg = options_.double_pairwise
-                          ? double_pairwise_aggregate(fine, options_.strength_threshold)
-                          : pairwise_aggregate(fine, options_.strength_threshold);
+    Aggregation agg = double_pairwise_aggregate(fine, kStrengthThreshold);
     if (agg.num_aggregates >= fine.rows()) break;  // stalled: stop coarsening
     CsrMatrix coarse = galerkin_coarse_matrix(fine, agg);
     levels_.back().to_coarse = std::move(agg);
@@ -82,10 +90,6 @@ void AmgHierarchy::apply(const Vec& r, Vec& z) {
   cycle(0, r, z);
 }
 
-void AmgHierarchy::smooth(const CsrMatrix& a, const Vec& r, Vec& z, int sweeps) {
-  for (int s = 0; s < sweeps; ++s) linalg::symmetric_gauss_seidel(a, r, z);
-}
-
 void AmgHierarchy::cycle(int level, const Vec& r, Vec& z) {
   const CsrMatrix& a = levels_[level].matrix;
   if (!levels_[level].to_coarse.has_value()) {
@@ -93,7 +97,7 @@ void AmgHierarchy::cycle(int level, const Vec& r, Vec& z) {
     return;
   }
   z.assign(r.size(), 0.0);
-  smooth(a, r, z, options_.pre_smooth);
+  linalg::symmetric_gauss_seidel(a, r, z);  // pre-smooth
 
   // Restrict the residual and recurse.
   Vec residual = linalg::subtract(r, a.multiply(z));
@@ -104,15 +108,14 @@ void AmgHierarchy::cycle(int level, const Vec& r, Vec& z) {
   coarse_correction(level + 1, rc, ec);
   prolongate_add(agg, ec, z);
 
-  smooth(a, r, z, options_.post_smooth);
+  linalg::symmetric_gauss_seidel(a, r, z);  // post-smooth
 }
 
 void AmgHierarchy::coarse_correction(int coarse_level, const Vec& rc, Vec& ec) {
-  const bool coarsest = !levels_[coarse_level].to_coarse.has_value();
-  if (coarsest || options_.cycle == CycleType::kV) {
-    cycle(coarse_level, rc, ec);
-  } else {
+  if (levels_[coarse_level].to_coarse.has_value()) {
     kcycle_inner(coarse_level, rc, ec);
+  } else {
+    cycle(coarse_level, rc, ec);  // coarsest level: the direct solve
   }
 }
 

@@ -1,9 +1,12 @@
 #pragma once
 
 /// \file amg.hpp
-/// Aggregation-based algebraic multigrid hierarchy with V- and K-cycles
-/// (Fig. 3 of the paper: Setup Stage / Preconditioning Phase). The hierarchy
-/// implements Preconditioner so it can drive the flexible PCG in cg.hpp.
+/// Aggregation-based algebraic multigrid hierarchy with the K-cycle (Fig. 3
+/// of the paper: Setup Stage / Preconditioning Phase): double pairwise
+/// aggregation, one symmetric Gauss-Seidel sweep before and after each
+/// coarse correction, a dense Cholesky solve on the coarsest level. The
+/// hierarchy implements Preconditioner so it can drive the flexible PCG in
+/// cg.hpp.
 
 #include <memory>
 #include <optional>
@@ -15,23 +18,6 @@
 #include "solver/preconditioner.hpp"
 
 namespace irf::solver {
-
-enum class CycleType { kV, kK };
-
-struct AmgOptions {
-  /// Stop coarsening when a level has at most this many unknowns.
-  int coarsest_size = 64;
-  /// Safety cap on hierarchy depth.
-  int max_levels = 20;
-  /// Pre/post symmetric Gauss-Seidel smoothing sweeps.
-  int pre_smooth = 1;
-  int post_smooth = 1;
-  /// Strength-of-coupling threshold for pairwise aggregation.
-  double strength_threshold = 0.25;
-  /// Use double pairwise (aggregates up to 4) vs single pairwise (up to 2).
-  bool double_pairwise = true;
-  CycleType cycle = CycleType::kK;
-};
 
 /// One level of the hierarchy. The finest level owns no aggregation-from-
 /// above; the coarsest level owns a dense Cholesky factorization.
@@ -45,12 +31,12 @@ struct AmgLevel {
 /// The AMG hierarchy / K-cycle preconditioner.
 class AmgHierarchy final : public Preconditioner {
  public:
-  /// Setup stage: recursively coarsen `a` (which is copied into level 0).
-  AmgHierarchy(const linalg::CsrMatrix& a, AmgOptions options = {});
+  /// Setup stage: recursively coarsen `a` (which is copied into level 0)
+  /// until a level has at most 64 unknowns.
+  explicit AmgHierarchy(const linalg::CsrMatrix& a);
 
   int num_levels() const { return static_cast<int>(levels_.size()); }
   const AmgLevel& level(int i) const { return levels_.at(static_cast<std::size_t>(i)); }
-  const AmgOptions& options() const { return options_; }
 
   /// Grid complexity: sum of unknowns across levels / fine unknowns.
   double grid_complexity() const;
@@ -64,18 +50,15 @@ class AmgHierarchy final : public Preconditioner {
   void apply(const linalg::Vec& r, linalg::Vec& z) override;
 
   /// K-cycle uses inner Krylov acceleration, so the operator is variable.
-  bool is_variable() const override { return options_.cycle == CycleType::kK; }
+  bool is_variable() const override { return true; }
 
  private:
-  void smooth(const linalg::CsrMatrix& a, const linalg::Vec& r, linalg::Vec& z,
-              int sweeps);
   void cycle(int level, const linalg::Vec& r, linalg::Vec& z);
   void coarse_correction(int coarse_level, const linalg::Vec& rc, linalg::Vec& ec);
   /// Two flexible-CG steps on the coarse problem, preconditioned by the
   /// coarse cycle — the "K" in K-cycle.
   void kcycle_inner(int level, const linalg::Vec& rc, linalg::Vec& ec);
 
-  AmgOptions options_;
   std::vector<AmgLevel> levels_;
   std::unique_ptr<linalg::CholeskyFactor> coarse_solver_;
 };

@@ -6,10 +6,9 @@
 
 namespace irf::solver {
 
-AmgPcgSolver::AmgPcgSolver(const linalg::CsrMatrix& a, AmgOptions amg_options)
-    : matrix_(a) {
+AmgPcgSolver::AmgPcgSolver(const linalg::CsrMatrix& a) : matrix_(a) {
   obs::ScopedSpan span("amg_setup", "solver");
-  hierarchy_ = std::make_unique<AmgHierarchy>(matrix_, amg_options);
+  hierarchy_ = std::make_unique<AmgHierarchy>(matrix_);
   span.add_arg("rows", matrix_.rows());
   span.add_arg("levels", hierarchy_->num_levels());
   setup_seconds_ = span.seconds();

@@ -18,7 +18,7 @@ namespace irf::solver {
 class AmgPcgSolver {
  public:
   /// Runs the AMG setup stage on `a`. The matrix is copied into the hierarchy.
-  explicit AmgPcgSolver(const linalg::CsrMatrix& a, AmgOptions amg_options = {});
+  explicit AmgPcgSolver(const linalg::CsrMatrix& a);
 
   /// Solve A x = b under the given iteration/tolerance controls. `x0` is an
   /// optional warm start (PG analysis uses the flat supply voltage).
@@ -51,8 +51,7 @@ class AmgPcgSolver {
   const AmgHierarchy& hierarchy() const { return *hierarchy_; }
   double setup_seconds() const { return setup_seconds_; }
 
-  /// Heap bytes retained by the setup matrix (including its diagonal
-  /// caches) and the AMG hierarchy.
+  /// Heap bytes retained by the setup matrix and the AMG hierarchy.
   std::size_t memory_bytes() const;
 
  private:

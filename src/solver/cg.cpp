@@ -63,7 +63,7 @@ SolveResult preconditioned_cg(const linalg::CsrMatrix& a, const Vec& b,
 
   int k = 0;
   for (; k < options.max_iterations; ++k) {
-    if (res_norm / b_norm < options.rel_tolerance || res_norm < options.abs_tolerance) {
+    if (res_norm / b_norm < options.rel_tolerance) {
       result.converged = true;
       break;
     }
@@ -97,8 +97,7 @@ SolveResult preconditioned_cg(const linalg::CsrMatrix& a, const Vec& b,
     if (rz <= 0.0) {
       // An exactly-converged residual makes <r, z> vanish — defer to the
       // top-of-loop convergence check instead of declaring breakdown.
-      if (res_norm / b_norm < options.rel_tolerance ||
-          res_norm <= options.abs_tolerance || res_norm == 0.0) {
+      if (res_norm / b_norm < options.rel_tolerance || res_norm == 0.0) {
         continue;
       }
       // Otherwise z lost positivity against r: restart in the
@@ -110,10 +109,7 @@ SolveResult preconditioned_cg(const linalg::CsrMatrix& a, const Vec& b,
   }
   result.iterations = k;
   result.final_relative_residual = res_norm / b_norm;
-  if (!result.converged) {
-    result.converged =
-        res_norm / b_norm < options.rel_tolerance || res_norm < options.abs_tolerance;
-  }
+  if (!result.converged) result.converged = res_norm / b_norm < options.rel_tolerance;
   // Poison scan: the residual checks above bound the norm, but a NaN that
   // cancels in the norm could still hide in individual solution entries.
   IRF_CHECK_FINITE(result.x, "pcg solution");

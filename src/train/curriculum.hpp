@@ -13,19 +13,13 @@
 
 namespace irf::train {
 
-struct CurriculumOptions {
-  bool enabled = true;
-  /// Epoch (fraction of total) by which all hard samples are included.
-  double full_hard_by = 0.5;
-  int fake_oversample = 2;
-  int real_oversample = 5;
-};
-
-/// Produces the sample-index sequence for each epoch.
+/// Produces the sample-index sequence for each epoch. With `enabled`, the
+/// hard fraction ramps linearly to 1 by half of `total_epochs`; without it,
+/// every sample is admitted from epoch 0.
 class CurriculumScheduler {
  public:
-  CurriculumScheduler(const std::vector<Sample>& samples, int total_epochs,
-                      CurriculumOptions options, Rng rng);
+  CurriculumScheduler(const std::vector<Sample>& samples, int total_epochs, bool enabled,
+                      Rng rng);
 
   /// Shuffled indices (into the sample vector) to visit in `epoch`.
   std::vector<int> epoch_indices(int epoch);
@@ -37,7 +31,7 @@ class CurriculumScheduler {
   std::vector<int> easy_;
   std::vector<int> hard_;
   int total_epochs_;
-  CurriculumOptions options_;
+  bool enabled_;
   Rng rng_;
 };
 

@@ -4,7 +4,6 @@
 
 #include "check/check.hpp"
 #include "common/error.hpp"
-#include "common/gaussian.hpp"
 #include "nn/optimizer.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -14,15 +13,8 @@
 namespace irf::train {
 
 namespace {
-/// Label tensor with optional Gaussian smoothing (training only).
-nn::Tensor training_label(const Sample& sample, double blur_sigma) {
-  if (blur_sigma <= 0.0) return Normalizer::label_tensor(sample);
-  GridF blurred = gaussian_blur(sample.label, blur_sigma);
-  std::vector<float> data = blurred.data();
-  for (float& v : data) v *= kLabelScale;
-  return nn::Tensor::from_data(nn::Shape{1, 1, blurred.height(), blurred.width()},
-                               std::move(data));
-}
+/// Global gradient-norm bound applied before every optimizer step.
+constexpr double kGradClip = 5.0;
 }  // namespace
 
 TrainHistory train_model(models::IrModel& model, const std::vector<Sample>& samples,
@@ -57,12 +49,12 @@ TrainHistory train_model(models::IrModel& model, const std::vector<Sample>& samp
     for (int idx : order) {
       const Sample& sample = samples[static_cast<std::size_t>(idx)];
       nn::Tensor input = normalizer.input_tensor(sample, view);
-      nn::Tensor target = training_label(sample, options.label_blur_sigma);
+      nn::Tensor target = Normalizer::label_tensor(sample);
       nn::Tensor pred = model.forward(input);
       nn::Tensor loss = model.loss(pred, target);
       optimizer.zero_grad();
       loss.backward();
-      optimizer.clip_grad_norm(options.grad_clip);
+      optimizer.clip_grad_norm(kGradClip);
       optimizer.step();
       loss_sum += loss.scalar();
     }
@@ -72,7 +64,6 @@ TrainHistory train_model(models::IrModel& model, const std::vector<Sample>& samp
     obs::set_gauge("train.epoch_loss", mean_loss);
     obs::set_gauge("train.curriculum.hard_fraction", scheduler.hard_fraction(epoch));
     obs::verbose() << "epoch " << epoch << " mean loss " << mean_loss;
-    if (options.on_epoch) options.on_epoch(epoch, mean_loss);
   }
   obs::count("train.epochs", static_cast<std::uint64_t>(options.epochs));
   history.seconds = train_span.seconds();

@@ -6,7 +6,6 @@
 /// curriculum scheduler; evaluation reports the Table-I metrics plus
 /// per-design inference runtime.
 
-#include <functional>
 #include <vector>
 
 #include "models/ir_model.hpp"
@@ -20,24 +19,19 @@ namespace irf::train {
 struct TrainOptions {
   int epochs = 6;
   double learning_rate = 2e-3;
-  double grad_clip = 5.0;
   /// Decoupled (AdamW) weight decay; 0 disables.
   double weight_decay = 0.0;
   /// Cosine learning-rate decay floor as a fraction of learning_rate
   /// (1.0 == constant LR).
   double lr_min_ratio = 1.0;
-  /// Gaussian sigma (pixels) for label smoothing during training — the
-  /// label-distribution-smoothing idea of PGAU. 0 disables. Evaluation
-  /// always uses the raw labels.
-  double label_blur_sigma = 0.0;
-  CurriculumOptions curriculum;
+  /// Predefined curriculum (easy fake designs first); false admits every
+  /// sample from epoch 0. The oversampling applies either way.
+  bool curriculum = true;
   std::uint64_t seed = 1;
-  /// Optional per-epoch callback (epoch, mean train loss).
-  std::function<void(int, double)> on_epoch;
 };
 
 struct TrainHistory {
-  std::vector<double> epoch_loss;
+  std::vector<double> epoch_loss;  ///< mean train loss per epoch
   double seconds = 0.0;
 };
 

@@ -102,7 +102,7 @@ TEST_F(IoFixture, TrainOnImportedImageData) {
   auto model = models::make_iredge(3, 4, rng);
   TrainOptions opt;
   opt.epochs = 2;
-  opt.curriculum.enabled = false;
+  opt.curriculum = false;
   TrainHistory hist =
       train_model(*model, samples, FeatureView::kIccadTriplet, norm, opt);
   EXPECT_EQ(hist.epoch_loss.size(), 2u);

@@ -5,8 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
+#include <sstream>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -195,31 +194,27 @@ TEST(Serialize, SaveLoadRoundTrip) {
   Rng rng(9);
   Conv2d a(2, 3, 3, rng);
   Conv2d b(2, 3, 3, rng);  // different init
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "irf_ckpt_test.bin").string();
+  std::stringstream stream;
   std::vector<Tensor> pa = a.parameters();
-  save_parameters(pa, path);
+  save_parameters(pa, stream);
   std::vector<Tensor> pb = b.parameters();
-  load_parameters(pb, path);
+  load_parameters(pb, stream);
   for (std::size_t t = 0; t < pa.size(); ++t) {
     for (std::size_t i = 0; i < pa[t].data().size(); ++i) {
       EXPECT_FLOAT_EQ(pa[t].data()[i], pb[t].data()[i]);
     }
   }
-  std::remove(path.c_str());
 }
 
 TEST(Serialize, ShapeMismatchRejected) {
   Rng rng(10);
   Conv2d a(2, 3, 3, rng);
   Conv2d b(2, 3, 5, rng);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "irf_ckpt_bad.bin").string();
+  std::stringstream stream;
   std::vector<Tensor> pa = a.parameters();
-  save_parameters(pa, path);
+  save_parameters(pa, stream);
   std::vector<Tensor> pb = b.parameters();
-  EXPECT_THROW(load_parameters(pb, path), DimensionError);
-  std::remove(path.c_str());
+  EXPECT_THROW(load_parameters(pb, stream), DimensionError);
 }
 
 }  // namespace

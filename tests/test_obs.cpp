@@ -303,6 +303,25 @@ TEST_F(ObsTest, HistogramUnderflowAndOverflowClampToObservedExtremes) {
   EXPECT_DOUBLE_EQ(snap.quantile(0.999), 5.0e6);
 }
 
+// The Histogram suite starts from the same clean registry as ObsTest.
+using Histogram = ObsTest;
+
+TEST_F(Histogram, InfinityCountsInOverflowBucket) {
+  // Regression: log10(inf) cast to int was INT_MIN on x86-64, so record()
+  // incremented buckets_[1 + INT_MIN], far outside the bucket array.
+  const double inf = std::numeric_limits<double>::infinity();
+  obs::Histogram h;
+  h.record(inf);
+  const obs::Histogram::Snapshot snap = h.snapshot();
+  EXPECT_EQ(snap.count, 1u);
+  EXPECT_EQ(snap.buckets.back(), 1u);
+  EXPECT_EQ(snap.max, inf);
+
+  obs::record_histogram("inf.hist", inf);
+  const obs::JsonValue doc = obs::parse_json(obs::metrics_json());
+  EXPECT_DOUBLE_EQ(doc.at("histograms").at("inf.hist").at("count").number, 1.0);
+}
+
 TEST_F(ObsTest, HistogramEmptyAndResetSnapshotsAreZero) {
   obs::Histogram h;
   obs::Histogram::Snapshot snap = h.snapshot();

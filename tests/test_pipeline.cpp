@@ -9,8 +9,10 @@
 #include <memory>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "core/pipeline.hpp"
 #include "features/extractor.hpp"
+#include "par/par.hpp"
 #include "train/metrics.hpp"
 
 namespace irf::core {
@@ -147,6 +149,37 @@ TEST_F(PipelineFixture, DiagnosticsDecomposePrediction) {
 TEST_F(PipelineFixture, EvaluateRejectsEmpty) {
   IrFusionPipeline pipeline(tiny_pipeline_config());
   EXPECT_THROW(pipeline.fit({}), ConfigError);
+}
+
+/// FNV-1a over every parameter, then every buffer, in registration order.
+std::uint64_t weights_bits(models::IrModel& model) {
+  Fnv1a64 h;
+  for (const nn::Tensor& p : model.parameters()) {
+    h.update(p.data().data(), p.data().size() * sizeof(float));
+  }
+  for (const std::vector<float>* b : model.buffers()) {
+    h.update(b->data(), b->size() * sizeof(float));
+  }
+  return h.value();
+}
+
+TEST(PinnedBits, FitAndAnalyzeOfAFixedDataset) {
+  // Pins the exact fp32 bits of a fit at the training defaults (curriculum,
+  // augmentation and gradient clipping all active) and of one analyze()
+  // map. Training rewrites must leave these constants unchanged; they hold
+  // for any pool width because every reduction has a fixed chunk order.
+  const train::DesignSet set = train::build_design_set(tiny_config());
+  const int saved_threads = par::num_threads();
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("pool width " + std::to_string(threads));
+    par::set_num_threads(threads);
+    IrFusionPipeline pipeline(tiny_pipeline_config());
+    pipeline.fit(set.train);
+    const GridF map = pipeline.analyze(*set.test.front().design);
+    EXPECT_EQ(weights_bits(pipeline.model()), 0xc7dd3a2aa46dafbdull);
+    EXPECT_EQ(fnv1a64(map.data().data(), map.size() * sizeof(float)), 0xdb6624833f46b92dull);
+  }
+  par::set_num_threads(saved_threads);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
 #include <sstream>
 
 #include "common/rng.hpp"
@@ -134,13 +133,11 @@ TEST_P(ZooSerialization, ForwardIdenticalAfterReload) {
   model->set_training(false);
   clone->set_training(false);
 
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("irf_zoo_ckpt_" + std::to_string(GetParam()) + ".bin")).string();
+  std::stringstream stream;
   std::vector<nn::Tensor> src = model->parameters();
-  nn::save_parameters(src, path);
+  nn::save_parameters(src, stream);
   std::vector<nn::Tensor> dst = clone->parameters();
-  nn::load_parameters(dst, path);
+  nn::load_parameters(dst, stream);
 
   Rng data_rng(1);
   std::vector<float> data(static_cast<std::size_t>(model->in_channels()) * 16 * 16);
@@ -152,7 +149,6 @@ TEST_P(ZooSerialization, ForwardIdenticalAfterReload) {
   for (std::size_t i = 0; i < a.data().size(); ++i) {
     ASSERT_FLOAT_EQ(a.data()[i], b.data()[i]);
   }
-  std::filesystem::remove(path);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, ZooSerialization, ::testing::Range(0, 7));

@@ -183,16 +183,15 @@ TEST(Aggregation, RestrictProlongAdjoint) {
 }
 
 TEST(Amg, HierarchyShrinks) {
-  CsrMatrix a = laplacian_2d(16);
-  AmgOptions opt;
-  opt.coarsest_size = 16;
-  AmgHierarchy amg(a, opt);
-  ASSERT_GE(amg.num_levels(), 2);
+  CsrMatrix a = laplacian_2d(32);
+  AmgHierarchy amg(a);
+  ASSERT_GE(amg.num_levels(), 3);
   for (int l = 1; l < amg.num_levels(); ++l) {
     EXPECT_LT(amg.level(l).matrix.rows(), amg.level(l - 1).matrix.rows());
     EXPECT_TRUE(amg.level(l).matrix.is_symmetric(1e-9));
   }
-  EXPECT_LE(amg.level(amg.num_levels() - 1).matrix.rows(), 4 * opt.coarsest_size);
+  // Coarsening stops once a level has at most 64 unknowns.
+  EXPECT_LE(amg.level(amg.num_levels() - 1).matrix.rows(), 64);
   EXPECT_GE(amg.grid_complexity(), 1.0);
   EXPECT_LT(amg.grid_complexity(), 2.5);
   EXPECT_LT(amg.operator_complexity(), 3.0);
@@ -200,7 +199,7 @@ TEST(Amg, HierarchyShrinks) {
 
 TEST(Amg, CycleReducesError) {
   CsrMatrix a = laplacian_2d(12);
-  AmgHierarchy amg(a, {});
+  AmgHierarchy amg(a);
   Rng rng(6);
   Vec b = random_vec(a.rows(), rng);
   Vec z;
@@ -255,17 +254,6 @@ TEST(AmgPcg, RoughSolutionImprovesWithIterations) {
     EXPECT_LT(err, prev_err);
     prev_err = err;
   }
-}
-
-TEST(AmgPcg, VCycleAlsoConverges) {
-  CsrMatrix a = laplacian_2d(16);
-  Rng rng(10);
-  Vec b = random_vec(a.rows(), rng);
-  AmgOptions opt;
-  opt.cycle = CycleType::kV;
-  AmgPcgSolver solver(a, opt);
-  SolveResult r = solver.solve_golden(b, 1e-9);
-  EXPECT_TRUE(r.converged);
 }
 
 TEST(AmgPcg, SetupTimeRecorded) {

@@ -195,8 +195,7 @@ TEST(Curriculum, HardFractionRamps) {
     samples[static_cast<std::size_t>(i)].kind =
         i < 4 ? pg::DesignKind::kFake : pg::DesignKind::kReal;
   }
-  CurriculumOptions opt;
-  CurriculumScheduler sched(samples, 10, opt, Rng(1));
+  CurriculumScheduler sched(samples, 10, /*enabled=*/true, Rng(1));
   EXPECT_LT(sched.hard_fraction(0), 0.5);
   EXPECT_DOUBLE_EQ(sched.hard_fraction(9), 1.0);
   // Epoch 0 contains fewer hard samples than the last epoch.
@@ -207,7 +206,7 @@ TEST(Curriculum, HardFractionRamps) {
     }
     return hard;
   };
-  CurriculumScheduler sched2(samples, 10, opt, Rng(1));
+  CurriculumScheduler sched2(samples, 10, /*enabled=*/true, Rng(1));
   EXPECT_LT(count_hard(sched2.epoch_indices(0)), count_hard(sched2.epoch_indices(9)));
 }
 
@@ -216,9 +215,8 @@ TEST(Curriculum, OversamplingFactors) {
   samples[0].kind = pg::DesignKind::kFake;
   samples[1].kind = pg::DesignKind::kFake;
   samples[2].kind = pg::DesignKind::kReal;
-  CurriculumOptions opt;
-  opt.enabled = false;  // all samples from epoch 0
-  CurriculumScheduler sched(samples, 1, opt, Rng(2));
+  // Disabled: all samples from epoch 0.
+  CurriculumScheduler sched(samples, 1, /*enabled=*/false, Rng(2));
   std::vector<int> idx = sched.epoch_indices(0);
   // fake x2 each + real x5 = 2*2 + 5 = 9.
   EXPECT_EQ(idx.size(), 9u);
@@ -227,9 +225,7 @@ TEST(Curriculum, OversamplingFactors) {
 TEST(Curriculum, DisabledIncludesEverythingImmediately) {
   std::vector<Sample> samples(4);
   samples[3].kind = pg::DesignKind::kReal;
-  CurriculumOptions opt;
-  opt.enabled = false;
-  CurriculumScheduler sched(samples, 5, opt, Rng(3));
+  CurriculumScheduler sched(samples, 5, /*enabled=*/false, Rng(3));
   EXPECT_DOUBLE_EQ(sched.hard_fraction(0), 1.0);
 }
 

@@ -1,12 +1,11 @@
-// Tests for the additional training machinery: Gaussian blur / label
-// smoothing, AdamW weight decay, cosine LR schedule, and dropout.
+// Tests for the additional training machinery: AdamW weight decay, cosine
+// LR schedule, and dropout.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/gaussian.hpp"
 #include "common/rng.hpp"
 #include "nn/module.hpp"
 #include "nn/ops.hpp"
@@ -16,43 +15,6 @@
 
 namespace irf {
 namespace {
-
-TEST(GaussianBlur, PreservesConstantAndMass) {
-  GridF constant(8, 8, 2.0f);
-  GridF blurred = gaussian_blur(constant, 1.5);
-  for (float v : blurred.data()) EXPECT_NEAR(v, 2.0f, 1e-6f);
-
-  GridF impulse(15, 15, 0.0f);
-  impulse(7, 7) = 1.0f;
-  GridF spread = gaussian_blur(impulse, 1.0);
-  // Interior impulse: mass conserved, peak reduced, symmetric.
-  EXPECT_NEAR(spread.sum(), 1.0, 1e-4);
-  EXPECT_LT(spread(7, 7), 1.0f);
-  EXPECT_GT(spread(7, 7), spread(7, 8));
-  EXPECT_NEAR(spread(7, 5), spread(7, 9), 1e-7f);
-  EXPECT_NEAR(spread(5, 7), spread(9, 7), 1e-7f);
-}
-
-TEST(GaussianBlur, SigmaZeroIsIdentity) {
-  Rng rng(1);
-  GridF g(6, 6);
-  for (float& v : g.data()) v = static_cast<float>(rng.uniform());
-  GridF same = gaussian_blur(g, 0.0);
-  for (std::size_t i = 0; i < g.size(); ++i) EXPECT_FLOAT_EQ(same.data()[i], g.data()[i]);
-}
-
-TEST(GaussianBlur, LargerSigmaSmoothsMore) {
-  Rng rng(2);
-  GridF g(16, 16);
-  for (float& v : g.data()) v = static_cast<float>(rng.uniform());
-  auto variance = [](const GridF& x) {
-    const double mean = x.mean();
-    double acc = 0.0;
-    for (float v : x.data()) acc += (v - mean) * (v - mean);
-    return acc / static_cast<double>(x.size());
-  };
-  EXPECT_GT(variance(gaussian_blur(g, 0.5)), variance(gaussian_blur(g, 2.0)));
-}
 
 TEST(AdamW, WeightDecayShrinksUnusedDirections) {
   // With pure decay (gradient 0 via a loss independent of one parameter),
@@ -118,7 +80,8 @@ TEST(Dropout, RejectsBadProbability) {
 }
 
 TEST(Trainer, OnEpochCallbackAndCosineDecayRun) {
-  // A 1-sample, 3-epoch run exercising the cosine schedule and callback.
+  // A 1-sample, 3-epoch run exercising the cosine schedule; the history
+  // carries one finite mean loss per epoch.
   Rng rng(11);
   train::Sample s;
   s.design_name = "cb";
@@ -133,17 +96,11 @@ TEST(Trainer, OnEpochCallbackAndCosineDecayRun) {
   train::TrainOptions opt;
   opt.epochs = 3;
   opt.lr_min_ratio = 0.2;
-  opt.label_blur_sigma = 0.8;
-  opt.curriculum.enabled = false;
-  std::vector<int> epochs_seen;
-  opt.on_epoch = [&](int epoch, double loss) {
-    epochs_seen.push_back(epoch);
-    EXPECT_TRUE(std::isfinite(loss));
-  };
+  opt.curriculum = false;
   train::TrainHistory hist = train::train_model(
       *model, {s}, train::FeatureView::kIccadTriplet, norm, opt);
-  EXPECT_EQ(epochs_seen, (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(hist.epoch_loss.size(), 3u);
+  for (double loss : hist.epoch_loss) EXPECT_TRUE(std::isfinite(loss));
 }
 
 TEST(TrainOptionsValidation, BadLrRatioRejected) {
