@@ -11,7 +11,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "par/par.hpp"
-#include "spice/topology.hpp"
 
 namespace irf::features {
 
@@ -214,9 +213,8 @@ void append_current(FeatureStack& stack, const LayerContext& ctx, const WireStat
 
 // --- Effective distance to pads (one map) ---------------------------------
 void append_eff_dist(FeatureStack& stack, const LayerContext& ctx) {
-  spice::CircuitTopology topo(ctx.net);
   std::vector<std::pair<double, double>> pad_px;
-  for (NodeId pad : topo.pad_nodes()) {
+  for (NodeId pad : ctx.net.pad_nodes()) {
     const auto& c = ctx.net.node_coords(pad);
     if (c) pad_px.emplace_back(ctx.mapper.px(c->x_nm), ctx.mapper.py(c->y_nm));
   }
@@ -281,13 +279,33 @@ std::size_t FeatureStack::memory_bytes() const {
 }
 
 std::vector<double> shortest_path_resistance(const PgDesign& design) {
-  spice::CircuitTopology topo(design.netlist);
-  const int n = topo.num_nodes();
-  std::vector<double> dist(static_cast<std::size_t>(n),
-                           std::numeric_limits<double>::infinity());
+  const Netlist& net = design.netlist;
+  const std::size_t n = static_cast<std::size_t>(net.num_nodes());
+  // CSR adjacency of the node-to-node wires, each node's wires in netlist
+  // order. It is built per call and never stored: an ECO edit rewrites ohms
+  // on a copied design, and the build costs a tenth of the walk below.
+  std::vector<std::size_t> offset(n + 1, 0);
+  for (const spice::Resistor& r : net.resistors()) {
+    if (r.a == spice::kGround || r.b == spice::kGround) continue;
+    ++offset[r.a + 1];
+    ++offset[r.b + 1];
+  }
+  for (std::size_t i = 0; i < n; ++i) offset[i + 1] += offset[i];
+  std::vector<NodeId> neighbour(offset[n]);
+  std::vector<double> ohms(offset[n]);
+  std::vector<std::size_t> fill(offset.begin(), offset.end() - 1);
+  for (const spice::Resistor& r : net.resistors()) {
+    if (r.a == spice::kGround || r.b == spice::kGround) continue;
+    neighbour[fill[r.a]] = r.b;
+    ohms[fill[r.a]++] = r.ohms;
+    neighbour[fill[r.b]] = r.a;
+    ohms[fill[r.b]++] = r.ohms;
+  }
+
+  std::vector<double> dist(n, std::numeric_limits<double>::infinity());
   using Entry = std::pair<double, NodeId>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  for (NodeId pad : topo.pad_nodes()) {
+  for (NodeId pad : net.pad_nodes()) {
     dist[static_cast<std::size_t>(pad)] = 0.0;
     heap.push({0.0, pad});
   }
@@ -295,12 +313,11 @@ std::vector<double> shortest_path_resistance(const PgDesign& design) {
     auto [d, u] = heap.top();
     heap.pop();
     if (d > dist[static_cast<std::size_t>(u)]) continue;
-    for (const spice::Wire& w : topo.wires_of(u)) {
-      if (w.other == spice::kGround) continue;
-      const double nd = d + w.ohms;
-      if (nd < dist[static_cast<std::size_t>(w.other)]) {
-        dist[static_cast<std::size_t>(w.other)] = nd;
-        heap.push({nd, w.other});
+    for (std::size_t k = offset[u]; k < offset[u + 1]; ++k) {
+      const double nd = d + ohms[k];
+      if (nd < dist[neighbour[k]]) {
+        dist[neighbour[k]] = nd;
+        heap.push({nd, neighbour[k]});
       }
     }
   }

@@ -7,7 +7,6 @@
 
 #include "common/error.hpp"
 #include "pg/solve.hpp"
-#include "spice/topology.hpp"
 
 namespace irf::pg {
 
@@ -323,11 +322,8 @@ PgDesign generate_design(const GeneratorConfig& cfg, Rng& rng, std::string name,
   }
 
   b.net.validate();
-  {
-    spice::CircuitTopology topo(b.net);
-    if (!topo.all_nodes_reach_pad()) {
-      throw NumericError("generated design has nodes unreachable from pads");
-    }
+  if (!b.net.all_nodes_reach_pad()) {
+    throw NumericError("generated design has nodes unreachable from pads");
   }
 
   PgDesign design;

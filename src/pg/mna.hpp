@@ -9,7 +9,6 @@
 
 #include "linalg/csr.hpp"
 #include "pg/design.hpp"
-#include "spice/topology.hpp"
 
 namespace irf::pg {
 
@@ -19,16 +18,15 @@ struct MnaSystem {
   linalg::Vec rhs;                        ///< b (pad injections minus loads)
   std::vector<int> node_to_eq;            ///< -1 for pad nodes
   std::vector<spice::NodeId> eq_to_node;
+  linalg::Vec pad_voltage;                ///< per node; NaN for free nodes
 };
 
-/// Assemble the MNA system from a netlist topology. Throws NumericError if
-/// some node cannot reach a pad (singular system).
+/// Assemble the MNA system from the netlist's element sets. Throws
+/// NumericError if some node cannot reach a pad (singular system).
 MnaSystem assemble_mna(const spice::Netlist& netlist);
 
 /// Expand an equation-space solution to full node voltages (pads take their
 /// source value).
-linalg::Vec expand_to_node_voltages(const MnaSystem& system,
-                                    const spice::Netlist& netlist,
-                                    const linalg::Vec& x);
+linalg::Vec expand_to_node_voltages(const MnaSystem& system, const linalg::Vec& x);
 
 }  // namespace irf::pg

@@ -15,7 +15,7 @@ PgSolver::PgSolver(const PgDesign& design)
 
 PgSolution PgSolver::finalize(const solver::SolveResult& result) const {
   PgSolution sol;
-  sol.node_voltage = expand_to_node_voltages(mna_, design_->netlist, result.x);
+  sol.node_voltage = expand_to_node_voltages(mna_, result.x);
   sol.ir_drop.resize(sol.node_voltage.size());
   for (std::size_t i = 0; i < sol.node_voltage.size(); ++i) {
     sol.ir_drop[i] = design_->vdd - sol.node_voltage[i];
@@ -99,6 +99,7 @@ std::size_t PgSolver::memory_bytes() const {
   bytes += mna_.rhs.capacity() * sizeof(double);
   bytes += mna_.node_to_eq.capacity() * sizeof(int);
   bytes += mna_.eq_to_node.capacity() * sizeof(spice::NodeId);
+  bytes += mna_.pad_voltage.capacity() * sizeof(double);
   if (solver_) bytes += solver_->memory_bytes();
   return bytes;
 }

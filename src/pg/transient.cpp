@@ -6,7 +6,6 @@
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "spice/topology.hpp"
 
 namespace irf::pg {
 
@@ -70,14 +69,17 @@ TransientResult TransientSolver::run() const {
   auto setup_span = std::make_unique<obs::ScopedSpan>("transient_setup", "pg");
   TransientResult result;
   const int m = static_cast<int>(static_system_.eq_to_node.size());
-  spice::CircuitTopology topo(design_.netlist);
 
   // Pad contribution to the RHS is time-invariant; recompute the load part
-  // each step. Start by splitting the static RHS into pad and load parts.
+  // each step. Start by splitting the static RHS into pad and load parts,
+  // adding back each node's loads summed as assemble_mna summed them.
+  linalg::Vec load(static_cast<std::size_t>(design_.netlist.num_nodes()), 0.0);
+  for (const spice::CurrentSource& src : design_.netlist.current_sources()) {
+    if (src.node != kGround) load[src.node] += src.amps;
+  }
   linalg::Vec pad_rhs(static_cast<std::size_t>(m), 0.0);
   for (std::size_t i = 0; i < pad_rhs.size(); ++i) {
-    const NodeId node = static_system_.eq_to_node[i];
-    pad_rhs[i] = static_system_.rhs[i] + topo.load_current()[node];
+    pad_rhs[i] = static_system_.rhs[i] + load[static_system_.eq_to_node[i]];
   }
 
   auto load_rhs_at = [&](double t, linalg::Vec& rhs) {
@@ -104,7 +106,7 @@ TransientResult TransientSolver::run() const {
       static_cast<std::size_t>(design_.netlist.num_nodes()), 0.0);
   // Pads never drop; seed worst map from the DC point for free nodes.
   {
-    linalg::Vec full = expand_to_node_voltages(static_system_, design_.netlist, v);
+    linalg::Vec full = expand_to_node_voltages(static_system_, v);
     for (std::size_t n = 0; n < full.size(); ++n) {
       result.worst_ir_drop[n] = std::max(result.worst_ir_drop[n], design_.vdd - full[n]);
     }
@@ -127,7 +129,7 @@ TransientResult TransientSolver::run() const {
     result.total_pcg_iterations += step.iterations;
     result.times.push_back(t);
 
-    linalg::Vec full = expand_to_node_voltages(static_system_, design_.netlist, v);
+    linalg::Vec full = expand_to_node_voltages(static_system_, v);
     for (std::size_t n = 0; n < full.size(); ++n) {
       result.worst_ir_drop[n] = std::max(result.worst_ir_drop[n], design_.vdd - full[n]);
     }

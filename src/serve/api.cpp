@@ -38,19 +38,26 @@ std::uint64_t design_content_hash(const pg::PgDesign& design) {
   for (spice::NodeId id = 0; id < num_nodes; ++id) {
     h.update_string(nl.node_name(id));
   }
+  // Each group's length goes in before its records: a current-source and a
+  // voltage-source record have the same layout, so without it a card moved
+  // from one group to the next would not change the hash.
+  h.update_pod(std::uint64_t{nl.resistors().size()});
   for (const spice::Resistor& r : nl.resistors()) {
     h.update_pod(r.a);
     h.update_pod(r.b);
     h.update_pod(r.ohms);
   }
+  h.update_pod(std::uint64_t{nl.current_sources().size()});
   for (const spice::CurrentSource& c : nl.current_sources()) {
     h.update_pod(c.node);
     h.update_pod(c.amps);
   }
+  h.update_pod(std::uint64_t{nl.voltage_sources().size()});
   for (const spice::VoltageSource& v : nl.voltage_sources()) {
     h.update_pod(v.node);
     h.update_pod(v.volts);
   }
+  h.update_pod(std::uint64_t{nl.capacitors().size()});
   for (const spice::Capacitor& c : nl.capacitors()) {
     h.update_pod(c.a);
     h.update_pod(c.b);
@@ -69,16 +76,20 @@ std::uint64_t design_topology_hash(const pg::PgDesign& design) {
   for (spice::NodeId id = 0; id < num_nodes; ++id) {
     h.update_string(nl.node_name(id));
   }
+  h.update_pod(std::uint64_t{nl.resistors().size()});
   for (const spice::Resistor& r : nl.resistors()) {
     h.update_pod(r.a);
     h.update_pod(r.b);
   }
+  h.update_pod(std::uint64_t{nl.current_sources().size()});
   for (const spice::CurrentSource& c : nl.current_sources()) {
     h.update_pod(c.node);
   }
+  h.update_pod(std::uint64_t{nl.voltage_sources().size()});
   for (const spice::VoltageSource& v : nl.voltage_sources()) {
     h.update_pod(v.node);
   }
+  h.update_pod(std::uint64_t{nl.capacitors().size()});
   for (const spice::Capacitor& c : nl.capacitors()) {
     h.update_pod(c.a);
     h.update_pod(c.b);

@@ -63,7 +63,10 @@ SolveResult preconditioned_cg(const linalg::CsrMatrix& a, const Vec& b,
 
   int k = 0;
   for (; k < options.max_iterations; ++k) {
-    if (res_norm / b_norm < options.rel_tolerance) {
+    // An exactly zero residual is converged at any tolerance, including the
+    // zero tolerance of a fixed-count rough solve: the next step would run
+    // along p = 0.
+    if (res_norm == 0.0 || res_norm / b_norm < options.rel_tolerance) {
       result.converged = true;
       break;
     }
@@ -109,7 +112,9 @@ SolveResult preconditioned_cg(const linalg::CsrMatrix& a, const Vec& b,
   }
   result.iterations = k;
   result.final_relative_residual = res_norm / b_norm;
-  if (!result.converged) result.converged = res_norm / b_norm < options.rel_tolerance;
+  if (!result.converged) {
+    result.converged = res_norm == 0.0 || res_norm / b_norm < options.rel_tolerance;
+  }
   // Poison scan: the residual checks above bound the norm, but a NaN that
   // cancels in the norm could still hide in individual solution entries.
   IRF_CHECK_FINITE(result.x, "pcg solution");

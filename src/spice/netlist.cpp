@@ -1,6 +1,7 @@
 #include "spice/netlist.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 
 #include "common/error.hpp"
@@ -87,6 +88,39 @@ bool Netlist::has_transient_elements() const {
     if (i.waveform && !i.waveform->is_dc()) return true;
   }
   return false;
+}
+
+std::vector<NodeId> Netlist::pad_nodes() const {
+  std::vector<NodeId> pads;
+  pads.reserve(voltage_sources_.size());
+  for (const VoltageSource& v : voltage_sources_) {
+    if (v.node != kGround) pads.push_back(v.node);
+  }
+  std::sort(pads.begin(), pads.end());
+  pads.erase(std::unique(pads.begin(), pads.end()), pads.end());
+  return pads;
+}
+
+bool Netlist::all_nodes_reach_pad() const {
+  // Union-find over the node-to-node resistors (path halving); a node
+  // reaches a pad when its component's root does.
+  std::vector<NodeId> parent(static_cast<std::size_t>(num_nodes()));
+  std::iota(parent.begin(), parent.end(), 0);
+  auto root = [&parent](NodeId x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+  for (const Resistor& r : resistors_) {
+    if (r.a != kGround && r.b != kGround) parent[root(r.a)] = root(r.b);
+  }
+  std::vector<char> has_pad(parent.size(), 0);
+  for (const VoltageSource& v : voltage_sources_) {
+    if (v.node != kGround) has_pad[root(v.node)] = 1;
+  }
+  for (NodeId id = 0; id < num_nodes(); ++id) {
+    if (!has_pad[root(id)]) return false;
+  }
+  return true;
 }
 
 void Netlist::scale_current_sources(double factor) {

@@ -100,6 +100,14 @@ class Netlist {
   /// True if any element requires transient analysis (caps or PWL sources).
   bool has_transient_elements() const;
 
+  /// Nodes driven by a voltage source (the power pads), ascending and each
+  /// once, whatever the order of the source cards.
+  std::vector<NodeId> pad_nodes() const;
+
+  /// True if every node can reach some pad through node-to-node resistors
+  /// (required for a non-singular static solve).
+  bool all_nodes_reach_pad() const;
+
   /// All metal layers present in coordinate-named nodes, ascending.
   std::vector<int> layers() const;
 

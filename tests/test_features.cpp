@@ -7,9 +7,11 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "features/extractor.hpp"
 #include "features/scatter.hpp"
+#include "par/par.hpp"
 #include "pg/generator.hpp"
 #include "pg/solve.hpp"
 
@@ -155,21 +157,21 @@ TEST_F(FeatureExtraction, EffectiveDistanceLowNearPads) {
 
 TEST_F(FeatureExtraction, ShortestPathResistanceProperties) {
   std::vector<double> spr = shortest_path_resistance(design_);
-  spice::CircuitTopology topo(design_.netlist);
-  for (spice::NodeId pad : topo.pad_nodes()) {
+  for (spice::NodeId pad : design_.netlist.pad_nodes()) {
     EXPECT_DOUBLE_EQ(spr[static_cast<std::size_t>(pad)], 0.0);
   }
   for (double v : spr) {
     EXPECT_TRUE(std::isfinite(v));
     EXPECT_GE(v, 0.0);
   }
-  // Triangle-ish sanity: any node's distance is at most min neighbour + edge.
-  for (int u = 0; u < topo.num_nodes(); ++u) {
-    for (const spice::Wire& w : topo.wires_of(u)) {
-      if (w.other == spice::kGround) continue;
-      EXPECT_LE(spr[static_cast<std::size_t>(u)],
-                spr[static_cast<std::size_t>(w.other)] + w.ohms + 1e-9);
-    }
+  // Triangle-ish sanity: any node's distance is at most a neighbour's plus
+  // the wire between them, in both directions over each resistor.
+  for (const spice::Resistor& r : design_.netlist.resistors()) {
+    if (r.a == spice::kGround || r.b == spice::kGround) continue;
+    const std::size_t a = static_cast<std::size_t>(r.a);
+    const std::size_t b = static_cast<std::size_t>(r.b);
+    EXPECT_LE(spr[a], spr[b] + r.ohms + 1e-9);
+    EXPECT_LE(spr[b], spr[a] + r.ohms + 1e-9);
   }
 }
 
@@ -195,6 +197,35 @@ TEST_F(FeatureExtraction, TinyImageRejected) {
   FeatureOptions opts;
   opts.image_size = 4;
   EXPECT_THROW(extract_features(design_, &rough_, opts), DimensionError);
+}
+
+TEST(PinnedBits, FeatureStacksOfAFixedRealDesign) {
+  // Pins the exact fp32 bits of both feature stacks, and the fp64 bits of the
+  // pad Dijkstra, on the design the solver pin uses. Rewrites of the graph
+  // walks (pad order, adjacency order, reachability) must leave these
+  // constants unchanged; they hold for any pool width.
+  Rng rng(2025);
+  const pg::PgDesign design = pg::generate_real_design(32, rng, "pinned");
+  const pg::PgSolution rough = pg::PgSolver(design).solve_rough(3);
+  const int saved_threads = par::num_threads();
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("pool width " + std::to_string(threads));
+    par::set_num_threads(threads);
+    Fnv1a64 stacks;
+    for (bool hierarchical : {true, false}) {
+      FeatureOptions opts;
+      opts.image_size = 32;
+      opts.hierarchical = hierarchical;
+      const FeatureStack stack = extract_features(design, &rough, opts);
+      for (const GridF& channel : stack.channels) {
+        stacks.update(channel.data().data(), channel.size() * sizeof(float));
+      }
+    }
+    EXPECT_EQ(stacks.value(), 0x3299e5983c236de3ull);
+    const std::vector<double> spr = shortest_path_resistance(design);
+    EXPECT_EQ(fnv1a64(spr.data(), spr.size() * sizeof(double)), 0x1fd6a2cf3e4f91c7ull);
+  }
+  par::set_num_threads(saved_threads);
 }
 
 }  // namespace

@@ -163,8 +163,7 @@ TEST(Integration, RealDesignsShiftDistribution) {
   // Real pads hug the die perimeter; the fake pad array has interior pads.
   auto pad_positions = [](const pg::PgDesign& d) {
     std::vector<std::pair<double, double>> out;
-    spice::CircuitTopology topo(d.netlist);
-    for (spice::NodeId pad : topo.pad_nodes()) {
+    for (spice::NodeId pad : d.netlist.pad_nodes()) {
       const auto& c = d.netlist.node_coords(pad);
       out.emplace_back(static_cast<double>(c->x_nm) / d.width_nm,
                        static_cast<double>(c->y_nm) / d.height_nm);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -35,7 +36,7 @@ TEST(Mna, HandSolvedLadder) {
 
   linalg::CholeskyFactor chol(linalg::DenseMatrix::from_csr(sys.conductance));
   linalg::Vec x = chol.solve(sys.rhs);
-  linalg::Vec v = expand_to_node_voltages(sys, net, x);
+  linalg::Vec v = expand_to_node_voltages(sys, x);
 
   const spice::NodeId a = *net.find_node("n1_m1_0_0");
   const spice::NodeId b = *net.find_node("n1_m1_2000_0");
@@ -58,17 +59,32 @@ TEST(Mna, CurrentConservation) {
   Rng rng(11);
   PgDesign design = generate_fake_design(32, rng, "cc");
   PgSolution sol = golden_solve(design);
-  spice::CircuitTopology topo(design.netlist);
   double total_load = 0.0;
-  for (double i : topo.load_current()) total_load += i;
+  for (const spice::CurrentSource& i : design.netlist.current_sources()) {
+    if (i.node != spice::kGround) total_load += i.amps;
+  }
+  std::vector<char> is_pad(static_cast<std::size_t>(design.netlist.num_nodes()), 0);
+  for (spice::NodeId pad : design.netlist.pad_nodes()) is_pad[pad] = 1;
   double pad_current = 0.0;
-  for (spice::NodeId pad : topo.pad_nodes()) {
-    for (const spice::Wire& w : topo.wires_of(pad)) {
-      if (w.other == spice::kGround) continue;
-      pad_current += (sol.node_voltage[pad] - sol.node_voltage[w.other]) * w.conductance;
-    }
+  for (const spice::Resistor& r : design.netlist.resistors()) {
+    if (r.a == spice::kGround || r.b == spice::kGround) continue;
+    const double i_ab = (sol.node_voltage[r.a] - sol.node_voltage[r.b]) / r.ohms;
+    if (is_pad[r.a]) pad_current += i_ab;
+    if (is_pad[r.b]) pad_current -= i_ab;
   }
   EXPECT_NEAR(pad_current, total_load, 1e-6 * std::max(1.0, total_load));
+}
+
+TEST(Topology, LoadCurrentAccumulates) {
+  // Two loads on one node enter its equation as one summed draw.
+  spice::Netlist net = spice::parse_string(
+      "V1 n1_m1_0_0 0 1.1\n"
+      "R1 n1_m1_0_0 n1_m1_2000_0 1\n"
+      "I1 n1_m1_2000_0 0 1m\n"
+      "I2 n1_m1_2000_0 0 2m\n");
+  MnaSystem sys = assemble_mna(net);
+  ASSERT_EQ(sys.rhs.size(), 1u);
+  EXPECT_DOUBLE_EQ(sys.rhs[0], 1.1 - 3e-3);
 }
 
 TEST(Generator, FakeDesignBasicInvariants) {
@@ -173,10 +189,31 @@ TEST(PgSolver, PadVoltagesExact) {
   Rng rng(8);
   PgDesign d = generate_fake_design(32, rng, "pads");
   PgSolution sol = golden_solve(d);
-  spice::CircuitTopology topo(d.netlist);
-  for (spice::NodeId pad : topo.pad_nodes()) {
+  for (spice::NodeId pad : d.netlist.pad_nodes()) {
     EXPECT_DOUBLE_EQ(sol.node_voltage[pad], d.vdd);
     EXPECT_DOUBLE_EQ(sol.ir_drop[pad], 0.0);
+  }
+}
+
+TEST(PgSolver, RoughSolveStopsAtAnExactSolution) {
+  // Two unknowns, so the AMG is a direct solve: the first PCG step lands on
+  // the exact solution with a residual of exactly zero. A rough solve must
+  // stop there rather than take a step along p = 0.
+  PgDesign d;
+  d.netlist = spice::parse_string(
+      "R1 n1_m1_0_0 n1_m1_2000_0 0.01\n"
+      "R2 n1_m1_2000_0 n1_m1_4000_0 0.01\n"
+      "R3 n1_m1_0_0 n1_m1_0_2000 0.01\n"
+      "I1 n1_m1_2000_0 0 1m\n"
+      "V2 n1_m1_4000_0 0 1.1\n"
+      "V1 n1_m1_0_0 0 1.1\n");
+  PgSolver solver(d);
+  const PgSolution rough = solver.solve_rough(3);
+  const PgSolution golden = solver.solve_golden();
+  EXPECT_TRUE(rough.converged);
+  ASSERT_EQ(rough.node_voltage.size(), golden.node_voltage.size());
+  for (std::size_t i = 0; i < rough.node_voltage.size(); ++i) {
+    EXPECT_NEAR(rough.node_voltage[i], golden.node_voltage[i], 1e-15);
   }
 }
 
@@ -338,8 +375,7 @@ TEST(PgSolver, RebindTracksSupplyScaling) {
   corner.netlist.scale_voltage_sources(1.1);
   solver.rebind(corner);
   PgSolution warm = solver.solve_warm(base.node_voltage, 1e-10, 200);
-  spice::CircuitTopology topo(corner.netlist);
-  for (spice::NodeId pad : topo.pad_nodes()) {
+  for (spice::NodeId pad : corner.netlist.pad_nodes()) {
     EXPECT_NEAR(warm.node_voltage[pad], corner.vdd, 1e-9);
   }
 }

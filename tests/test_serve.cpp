@@ -26,6 +26,7 @@
 #include "features/extractor.hpp"
 #include "irf.hpp"
 #include "obs/obs.hpp"
+#include "spice/parser.hpp"
 
 namespace irf::serve {
 namespace {
@@ -88,6 +89,22 @@ std::unique_ptr<std::string> ServeFixture::checkpoint_path_;
 
 // --- design content hash ---------------------------------------------------
 
+/// A three-resistor deck whose fifth card is `fifth`. With `I2 ...` and
+/// `V2 ...` on the same node and value, the two decks' element records are
+/// byte-identical; only the sizes of the source groups tell them apart.
+pg::PgDesign deck_with_fifth_card(const std::string& fifth) {
+  pg::PgDesign d;
+  d.width_nm = 4000;
+  d.height_nm = 2000;
+  d.netlist = spice::parse_string(
+      "R1 n1_m1_0_0 n1_m1_2000_0 0.01\n"
+      "R2 n1_m1_2000_0 n1_m1_4000_0 0.01\n"
+      "R3 n1_m1_0_0 n1_m1_0_2000 0.01\n"
+      "I1 n1_m1_2000_0 0 1m\n" +
+      fifth + "\nV1 n1_m1_0_0 0 1.1\n");
+  return d;
+}
+
 TEST(DesignContentHash, NameIndependentAndContentSensitive) {
   Rng rng(7);
   pg::PgDesign a = pg::generate_fake_design(32, rng, "alpha");
@@ -102,6 +119,10 @@ TEST(DesignContentHash, NameIndependentAndContentSensitive) {
   pg::PgDesign d = a;
   d.vdd += 0.1;
   EXPECT_NE(design_content_hash(a), design_content_hash(d));
+
+  // A load card turned into a pad card moves one record between groups.
+  EXPECT_NE(design_content_hash(deck_with_fifth_card("I2 n1_m1_4000_0 0 1.1")),
+            design_content_hash(deck_with_fifth_card("V2 n1_m1_4000_0 0 1.1")));
 }
 
 // --- checkpoint format -----------------------------------------------------
@@ -371,6 +392,9 @@ TEST(DesignTopologyHash, InvariantToValuesSensitiveToStructure) {
   Rng rng2(8);
   pg::PgDesign c = pg::generate_fake_design(32, rng2, "gamma");
   EXPECT_EQ(design_topology_hash(a), design_topology_hash(c));
+
+  EXPECT_NE(design_topology_hash(deck_with_fifth_card("I2 n1_m1_4000_0 0 1.1")),
+            design_topology_hash(deck_with_fifth_card("V2 n1_m1_4000_0 0 1.1")));
 }
 
 TEST_F(ServeFixture, WarmStartServesCurrentOnlyDelta) {

@@ -1,13 +1,15 @@
 // Tests for irf::spice: value parsing, node names, netlist, parser, writer
-// round-trips and the circuit topology ("circuit generator") view.
+// round-trips and the netlist's pad and reachability queries.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "common/error.hpp"
 #include "spice/netlist.hpp"
 #include "spice/node_name.hpp"
 #include "spice/parser.hpp"
-#include "spice/topology.hpp"
 #include "spice/value.hpp"
 #include "spice/writer.hpp"
 
@@ -184,16 +186,28 @@ TEST(Writer, RoundTripPreservesElements) {
 
 TEST(Topology, AdjacencyAndPads) {
   Netlist net = parse_string(kDeck);
-  CircuitTopology topo(net);
-  EXPECT_EQ(topo.num_nodes(), 4);
-  EXPECT_EQ(topo.pad_nodes().size(), 1u);
-  EXPECT_TRUE(topo.all_nodes_reach_pad());
-  NodeId pad = topo.pad_nodes()[0];
-  EXPECT_TRUE(topo.is_pad(pad));
-  EXPECT_DOUBLE_EQ(topo.pad_voltage()[pad], 1.1);
+  EXPECT_EQ(net.num_nodes(), 4);
+  ASSERT_EQ(net.pad_nodes().size(), 1u);
+  EXPECT_TRUE(net.all_nodes_reach_pad());
+  const NodeId pad = net.pad_nodes()[0];
+  EXPECT_EQ(pad, *net.find_node("n1_m2_0_0"));
+  EXPECT_DOUBLE_EQ(net.voltage_sources()[0].volts, 1.1);
   // The middle M1 node has two wires.
-  NodeId mid = *net.find_node("n1_m1_2000_0");
-  EXPECT_EQ(topo.wires_of(mid).size(), 2u);
+  const NodeId mid = *net.find_node("n1_m1_2000_0");
+  const auto wires = std::count_if(net.resistors().begin(), net.resistors().end(),
+                                   [mid](const Resistor& r) { return r.a == mid || r.b == mid; });
+  EXPECT_EQ(wires, 2);
+
+  // Sources in descending node order, one node driven twice: the pad list is
+  // still ascending with each pad once (the eff_dist sum depends on it).
+  net = parse_string(
+      "R1 n1_m1_0_0 n1_m1_2000_0 1\n"
+      "R2 n1_m1_2000_0 n1_m1_4000_0 1\n"
+      "V1 n1_m1_4000_0 0 1.1\n"
+      "V2 n1_m1_0_0 0 1.1\n"
+      "V3 n1_m1_4000_0 0 1.1\n");
+  EXPECT_EQ(net.pad_nodes(),
+            (std::vector<NodeId>{*net.find_node("n1_m1_0_0"), *net.find_node("n1_m1_4000_0")}));
 }
 
 TEST(Topology, DetectsUnreachableNode) {
@@ -201,19 +215,7 @@ TEST(Topology, DetectsUnreachableNode) {
       "V1 n1_m1_0_0 0 1.1\n"
       "R1 n1_m1_0_0 n1_m1_2000_0 1\n"
       "R2 n1_m1_8000_0 n1_m1_10000_0 1\n");  // island
-  CircuitTopology topo(net);
-  EXPECT_FALSE(topo.all_nodes_reach_pad());
-}
-
-TEST(Topology, LoadCurrentAccumulates) {
-  Netlist net = parse_string(
-      "V1 n1_m1_0_0 0 1.1\n"
-      "R1 n1_m1_0_0 n1_m1_2000_0 1\n"
-      "I1 n1_m1_2000_0 0 1m\n"
-      "I2 n1_m1_2000_0 0 2m\n");
-  CircuitTopology topo(net);
-  NodeId loaded = *net.find_node("n1_m1_2000_0");
-  EXPECT_NEAR(topo.load_current()[loaded], 3e-3, 1e-15);
+  EXPECT_FALSE(net.all_nodes_reach_pad());
 }
 
 }  // namespace
