@@ -2,10 +2,8 @@
 
 #include <fstream>
 #include <iomanip>
-#include <sstream>
 
 #include "common/error.hpp"
-#include "common/string_util.hpp"
 
 namespace irf {
 
@@ -37,33 +35,6 @@ void write_csv(const GridF& grid, const std::string& path, int precision) {
     out << '\n';
   }
   if (!out) throw Error("write failed: " + path);
-}
-
-GridF read_csv(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot open for read: " + path);
-  std::vector<std::vector<float>> rows;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (trim(line).empty()) continue;
-    std::vector<float> row;
-    for (const std::string& tok : split(line, ',')) {
-      try {
-        row.push_back(std::stof(tok));
-      } catch (const std::exception&) {
-        throw ParseError("bad CSV value '" + tok + "' in " + path);
-      }
-    }
-    if (!rows.empty() && rows.front().size() != row.size()) {
-      throw ParseError("ragged CSV rows in " + path);
-    }
-    rows.push_back(std::move(row));
-  }
-  GridF grid(static_cast<int>(rows.size()),
-             rows.empty() ? 0 : static_cast<int>(rows.front().size()));
-  for (int y = 0; y < grid.height(); ++y)
-    for (int x = 0; x < grid.width(); ++x) grid(y, x) = rows[y][x];
-  return grid;
 }
 
 }  // namespace irf

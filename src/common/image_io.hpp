@@ -17,7 +17,4 @@ void write_pgm(const GridF& grid, const std::string& path);
 /// Write a grid as a CSV matrix with `precision` significant digits.
 void write_csv(const GridF& grid, const std::string& path, int precision = 6);
 
-/// Read back a CSV matrix written by write_csv (used in round-trip tests).
-GridF read_csv(const std::string& path);
-
 }  // namespace irf

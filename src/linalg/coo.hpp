@@ -23,7 +23,6 @@ class TripletBuilder {
 
   int rows() const { return rows_; }
   int cols() const { return cols_; }
-  std::size_t nnz_entries() const { return triplets_.size(); }
 
   /// Add `value` at (row, col); duplicates accumulate.
   void add(int row, int col, double value);

@@ -1,7 +1,6 @@
 #include "linalg/csr.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 
 #include "check/check.hpp"
@@ -65,12 +64,6 @@ CsrMatrix CsrMatrix::from_triplets(const TripletBuilder& builder) {
   return m;
 }
 
-CsrMatrix CsrMatrix::identity(int n) {
-  TripletBuilder b(n, n);
-  for (int i = 0; i < n; ++i) b.add(i, i, 1.0);
-  return from_triplets(b);
-}
-
 void CsrMatrix::multiply(const Vec& x, Vec& y) const {
   if (static_cast<int>(x.size()) != cols_) {
     throw DimensionError("SpMV: x has " + std::to_string(x.size()) + " entries, need " +
@@ -113,49 +106,6 @@ Vec CsrMatrix::diagonal() const {
   Vec d(static_cast<std::size_t>(rows()), 0.0);
   for (int r = 0; r < rows() && r < cols_; ++r) d[r] = at(r, r);
   return d;
-}
-
-Vec CsrMatrix::row_sums() const {
-  Vec s(static_cast<std::size_t>(rows()), 0.0);
-  for (int r = 0; r < rows(); ++r)
-    for (int k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) s[r] += values_[k];
-  return s;
-}
-
-bool CsrMatrix::is_symmetric(double tol) const {
-  if (rows() != cols_) return false;
-  double scale = 0.0;
-  for (double v : values_) scale = std::max(scale, std::abs(v));
-  const double abs_tol = tol * std::max(scale, 1.0);
-  for (int r = 0; r < rows(); ++r) {
-    for (int k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      if (std::abs(values_[k] - at(col_idx_[k], r)) > abs_tol) return false;
-    }
-  }
-  return true;
-}
-
-bool CsrMatrix::is_diagonally_dominant(double tol) const {
-  for (int r = 0; r < rows(); ++r) {
-    double diag = 0.0;
-    double off = 0.0;
-    for (int k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      if (col_idx_[k] == r) {
-        diag = std::abs(values_[k]);
-      } else {
-        off += std::abs(values_[k]);
-      }
-    }
-    if (diag + tol < off) return false;
-  }
-  return true;
-}
-
-CsrMatrix CsrMatrix::transposed() const {
-  TripletBuilder b(cols_, rows());
-  for (int r = 0; r < rows(); ++r)
-    for (int k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) b.add(col_idx_[k], r, values_[k]);
-  return from_triplets(b);
 }
 
 }  // namespace irf::linalg

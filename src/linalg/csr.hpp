@@ -24,9 +24,6 @@ class CsrMatrix {
   /// exact zeros produced by cancellation are kept (harmless, rare).
   static CsrMatrix from_triplets(const TripletBuilder& builder);
 
-  /// Convenience: identity matrix of size n.
-  static CsrMatrix identity(int n);
-
   int rows() const { return row_ptr_.empty() ? 0 : static_cast<int>(row_ptr_.size()) - 1; }
   int cols() const { return cols_; }
   std::size_t nnz() const { return values_.size(); }
@@ -47,23 +44,11 @@ class CsrMatrix {
   /// where structurally absent), recorded by from_triplets.
   const std::vector<int>& diag_index() const { return diag_idx_; }
 
-  /// Entry lookup by binary search (test/debug helper, O(log nnz_row)).
+  /// Entry lookup by binary search (O(log nnz_row)); 0 where absent.
   double at(int row, int col) const;
 
   /// Main diagonal (missing entries read as 0).
   Vec diagonal() const;
-
-  /// Sum of each row (Laplacian rows with no ground hookup sum to ~0).
-  Vec row_sums() const;
-
-  /// Structural + numerical symmetry within `tol` (relative to max |value|).
-  bool is_symmetric(double tol = 1e-12) const;
-
-  /// Weak diagonal dominance check: |a_ii| >= sum_{j!=i} |a_ij| - tol.
-  bool is_diagonally_dominant(double tol = 1e-9) const;
-
-  /// A^T as a new matrix.
-  CsrMatrix transposed() const;
 
   /// Heap bytes retained by the index, value and diagonal-position arrays
   /// (capacity, not size, so cache byte budgets see what the allocator

@@ -38,14 +38,6 @@ void gs_sweep(const CsrMatrix& a, const Vec& b, Vec& x, bool forward) {
 }
 }  // namespace
 
-void gauss_seidel_forward(const CsrMatrix& a, const Vec& b, Vec& x) {
-  gs_sweep(a, b, x, /*forward=*/true);
-}
-
-void gauss_seidel_backward(const CsrMatrix& a, const Vec& b, Vec& x) {
-  gs_sweep(a, b, x, /*forward=*/false);
-}
-
 void symmetric_gauss_seidel(const CsrMatrix& a, const Vec& b, Vec& x) {
   gs_sweep(a, b, x, /*forward=*/true);
   gs_sweep(a, b, x, /*forward=*/false);

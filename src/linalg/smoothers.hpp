@@ -9,12 +9,6 @@
 
 namespace irf::linalg {
 
-/// One forward Gauss-Seidel sweep (ascending row order).
-void gauss_seidel_forward(const CsrMatrix& a, const Vec& b, Vec& x);
-
-/// One backward Gauss-Seidel sweep (descending row order).
-void gauss_seidel_backward(const CsrMatrix& a, const Vec& b, Vec& x);
-
 /// Symmetric Gauss-Seidel: forward then backward sweep. This is the default
 /// smoother of the AMG K-cycle (symmetric, so the preconditioner stays SPD).
 void symmetric_gauss_seidel(const CsrMatrix& a, const Vec& b, Vec& x);

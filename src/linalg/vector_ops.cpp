@@ -49,17 +49,6 @@ double dot(const Vec& a, const Vec& b) {
 
 double norm2(const Vec& a) { return std::sqrt(dot(a, a)); }
 
-double norm_inf(const Vec& a) {
-  return par::parallel_reduce(
-      0, static_cast<std::int64_t>(a.size()), par::kReduceGrain, 0.0,
-      [&](std::int64_t lo, std::int64_t hi) {
-        double m = 0.0;
-        for (std::int64_t i = lo; i < hi; ++i) m = std::max(m, std::abs(a[i]));
-        return m;
-      },
-      [](double x, double y) { return std::max(x, y); });
-}
-
 void axpy(double alpha, const Vec& x, Vec& y) {
   check_same_size(x, y, "axpy");
   par::parallel_for(0, static_cast<std::int64_t>(x.size()), par::kVecGrain,
@@ -76,13 +65,6 @@ void xpby(const Vec& x, double beta, Vec& y) {
                     });
 }
 
-void scale(Vec& a, double alpha) {
-  par::parallel_for(0, static_cast<std::int64_t>(a.size()), par::kVecGrain,
-                    [&](std::int64_t lo, std::int64_t hi) {
-                      for (std::int64_t i = lo; i < hi; ++i) a[i] *= alpha;
-                    });
-}
-
 Vec subtract(const Vec& a, const Vec& b) {
   check_same_size(a, b, "subtract");
   Vec out(a.size());
@@ -91,13 +73,6 @@ Vec subtract(const Vec& a, const Vec& b) {
                       for (std::int64_t i = lo; i < hi; ++i) out[i] = a[i] - b[i];
                     });
   return out;
-}
-
-bool has_non_finite(const Vec& a) {
-  for (double v : a) {
-    if (!std::isfinite(v)) return true;
-  }
-  return false;
 }
 
 }  // namespace irf::linalg

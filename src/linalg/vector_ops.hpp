@@ -17,22 +17,13 @@ double dot(const Vec& a, const Vec& b);
 /// Euclidean norm ||a||_2.
 double norm2(const Vec& a);
 
-/// Max-magnitude entry ||a||_inf.
-double norm_inf(const Vec& a);
-
 /// y += alpha * x.
 void axpy(double alpha, const Vec& x, Vec& y);
 
 /// y = x + beta * y  (the CG direction update).
 void xpby(const Vec& x, double beta, Vec& y);
 
-/// a *= alpha.
-void scale(Vec& a, double alpha);
-
 /// out = a - b.
 Vec subtract(const Vec& a, const Vec& b);
-
-/// True if any entry is NaN or infinite.
-bool has_non_finite(const Vec& a);
 
 }  // namespace irf::linalg

@@ -11,8 +11,4 @@ void kaiming_normal_(Tensor& weight, Rng& rng) {
   for (float& v : weight.data()) v = static_cast<float>(rng.normal(0.0, stddev));
 }
 
-void uniform_(Tensor& t, Rng& rng, float bound) {
-  for (float& v : t.data()) v = static_cast<float>(rng.uniform(-bound, bound));
-}
-
 }  // namespace irf::nn

@@ -11,7 +11,4 @@ namespace irf::nn {
 /// He-normal init for a conv weight [Cout, Cin, kh, kw]: N(0, sqrt(2/fan_in)).
 void kaiming_normal_(Tensor& weight, Rng& rng);
 
-/// Uniform init in [-bound, bound].
-void uniform_(Tensor& t, Rng& rng, float bound);
-
 }  // namespace irf::nn

@@ -31,7 +31,6 @@ void Module::register_buffer(std::vector<float>& buffer) {
 
 void Module::set_training(bool training) {
   training_ = training;
-  on_set_training(training);
   for (Module* child : children_) child->set_training(training);
 }
 
@@ -188,22 +187,6 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
           }
         }
       });
-}
-
-// --- Dropout --------------------------------------------------------------------
-
-Dropout::Dropout(double p, std::uint64_t seed) : p_(p), rng_(seed) {
-  if (p < 0.0 || p >= 1.0) throw ConfigError("Dropout p must be in [0, 1)");
-}
-
-Tensor Dropout::forward(const Tensor& x) {
-  if (!is_training() || p_ == 0.0) return x;
-  // Build the inverted-dropout mask as a constant and multiply through the
-  // tape — backward falls out of the mul op.
-  const float keep_scale = static_cast<float>(1.0 / (1.0 - p_));
-  std::vector<float> mask(x.data().size());
-  for (float& m : mask) m = rng_.bernoulli(p_) ? 0.0f : keep_scale;
-  return mul(x, Tensor::from_data(x.shape(), std::move(mask)));
 }
 
 // --- ConvBnRelu ----------------------------------------------------------------

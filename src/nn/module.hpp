@@ -53,7 +53,6 @@ class Module {
   void register_buffer(std::vector<float>& buffer);
   /// Register a child module (does not own it — owner keeps the unique_ptr).
   void register_child(Module* child);
-  virtual void on_set_training(bool) {}
 
  private:
   std::vector<Tensor> params_;
@@ -89,11 +88,6 @@ class BatchNorm2d : public Module {
 
   Tensor forward(const Tensor& x);
 
-  const std::vector<float>& running_mean() const { return running_mean_; }
-  const std::vector<float>& running_var() const { return running_var_; }
-  /// Mutable access for serialization.
-  std::vector<float>& mutable_running_mean() { return running_mean_; }
-  std::vector<float>& mutable_running_var() { return running_var_; }
 
  private:
   int channels_;
@@ -103,21 +97,6 @@ class BatchNorm2d : public Module {
   Tensor beta_;
   std::vector<float> running_mean_;
   std::vector<float> running_var_;
-};
-
-/// Inverted dropout: zeroes activations with probability `p` during training
-/// (scaling survivors by 1/(1-p)); identity in eval mode.
-class Dropout : public Module {
- public:
-  explicit Dropout(double p, std::uint64_t seed = 0xD20);
-
-  Tensor forward(const Tensor& x);
-
-  double p() const { return p_; }
-
- private:
-  double p_;
-  Rng rng_;
 };
 
 /// Conv -> BatchNorm -> ReLU, the standard U-Net building brick.

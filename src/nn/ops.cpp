@@ -25,31 +25,6 @@ inline std::size_t offset(const Shape& s, int n, int c, int y, int x) {
   return ((static_cast<std::size_t>(n) * s.c + c) * s.h + y) * s.w + x;
 }
 
-/// Elementwise binary op helper.
-template <typename Fwd, typename Bwd>
-Tensor elementwise_binary(const Tensor& a, const Tensor& b, const char* name, Fwd fwd,
-                          Bwd bwd) {
-  check_same_shape(a, b, name);
-  std::vector<float> out(a.data().size());
-  par::parallel_for(0, static_cast<std::int64_t>(out.size()), par::kVecGrain * 8,
-                    [&](std::int64_t lo, std::int64_t hi) {
-                      for (std::int64_t i = lo; i < hi; ++i) {
-                        out[i] = fwd(a.data()[i], b.data()[i]);
-                      }
-                    });
-  NodePtr an = a.node();
-  NodePtr bn = b.node();
-  return make_op_result(a.shape(), std::move(out), {an, bn}, [an, bn, bwd](Node& self) {
-    if (an->requires_grad) an->ensure_grad();
-    if (bn->requires_grad) bn->ensure_grad();
-    for (std::size_t i = 0; i < self.grad.size(); ++i) {
-      bwd(self.grad[i], an->data[i], bn->data[i],
-          an->requires_grad ? &an->grad[i] : nullptr,
-          bn->requires_grad ? &bn->grad[i] : nullptr);
-    }
-  });
-}
-
 /// Elementwise unary op helper; bwd receives (gout, x, y) and returns dx.
 template <typename Fwd, typename Bwd>
 Tensor elementwise_unary(const Tensor& a, Fwd fwd, Bwd bwd) {
@@ -70,30 +45,23 @@ Tensor elementwise_unary(const Tensor& a, Fwd fwd, Bwd bwd) {
 }  // namespace
 
 Tensor add(const Tensor& a, const Tensor& b) {
-  return elementwise_binary(
-      a, b, "add", [](float x, float y) { return x + y; },
-      [](float g, float, float, float* da, float* db) {
-        if (da) *da += g;
-        if (db) *db += g;
-      });
-}
-
-Tensor sub(const Tensor& a, const Tensor& b) {
-  return elementwise_binary(
-      a, b, "sub", [](float x, float y) { return x - y; },
-      [](float g, float, float, float* da, float* db) {
-        if (da) *da += g;
-        if (db) *db -= g;
-      });
-}
-
-Tensor mul(const Tensor& a, const Tensor& b) {
-  return elementwise_binary(
-      a, b, "mul", [](float x, float y) { return x * y; },
-      [](float g, float x, float y, float* da, float* db) {
-        if (da) *da += g * y;
-        if (db) *db += g * x;
-      });
+  check_same_shape(a, b, "add");
+  std::vector<float> out(a.data().size());
+  par::parallel_for(0, static_cast<std::int64_t>(out.size()), par::kVecGrain * 8,
+                    [&](std::int64_t lo, std::int64_t hi) {
+                      for (std::int64_t i = lo; i < hi; ++i) {
+                        out[i] = a.data()[i] + b.data()[i];
+                      }
+                    });
+  NodePtr an = a.node();
+  NodePtr bn = b.node();
+  return make_op_result(a.shape(), std::move(out), {an, bn}, [an, bn](Node& self) {
+    for (Node* parent : {an.get(), bn.get()}) {
+      if (!parent->requires_grad) continue;
+      parent->ensure_grad();
+      for (std::size_t i = 0; i < self.grad.size(); ++i) parent->grad[i] += self.grad[i];
+    }
+  });
 }
 
 Tensor scale(const Tensor& a, float factor) {
@@ -102,36 +70,16 @@ Tensor scale(const Tensor& a, float factor) {
       [factor](float g, float, float) { return g * factor; });
 }
 
-Tensor add_scalar(const Tensor& a, float value) {
-  return elementwise_unary(
-      a, [value](float x) { return x + value; },
-      [](float g, float, float) { return g; });
-}
-
 Tensor relu(const Tensor& a) {
   return elementwise_unary(
       a, [](float x) { return x > 0.0f ? x : 0.0f; },
       [](float g, float x, float) { return x > 0.0f ? g : 0.0f; });
 }
 
-Tensor leaky_relu(const Tensor& a, float negative_slope) {
-  return elementwise_unary(
-      a, [negative_slope](float x) { return x > 0.0f ? x : negative_slope * x; },
-      [negative_slope](float g, float x, float) {
-        return x > 0.0f ? g : negative_slope * g;
-      });
-}
-
 Tensor sigmoid(const Tensor& a) {
   return elementwise_unary(
       a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); },
       [](float g, float, float y) { return g * y * (1.0f - y); });
-}
-
-Tensor tanh_op(const Tensor& a) {
-  return elementwise_unary(
-      a, [](float x) { return std::tanh(x); },
-      [](float g, float, float y) { return g * (1.0f - y * y); });
 }
 
 namespace {
@@ -806,8 +754,7 @@ Tensor channel_max(const Tensor& x) {
 }
 
 namespace {
-Tensor reduction_loss(const Tensor& pred, const Tensor& target, const Tensor* weight,
-                      bool squared) {
+Tensor reduction_loss(const Tensor& pred, const Tensor& target, const Tensor* weight) {
   check_same_shape(pred, target, "loss");
   if (weight) check_same_shape(pred, *weight, "loss weight");
   const std::size_t n = pred.data().size();
@@ -820,7 +767,7 @@ Tensor reduction_loss(const Tensor& pred, const Tensor& target, const Tensor* we
         for (std::int64_t i = lo; i < hi; ++i) {
           const double d = static_cast<double>(pred.data()[i]) - target.data()[i];
           const double w = weight ? weight->data()[i] : 1.0;
-          s += w * (squared ? d * d : std::abs(d));
+          s += w * (d * d);
         }
         return s;
       },
@@ -834,7 +781,7 @@ Tensor reduction_loss(const Tensor& pred, const Tensor& target, const Tensor* we
   if (wn) parents.push_back(wn);
   return make_op_result(
       Shape{1, 1, 1, 1}, std::move(out), std::move(parents),
-      [pn, tn, wn, inv, squared](Node& self) {
+      [pn, tn, wn, inv](Node& self) {
         // Gradient only w.r.t. pred; target/weight are labels (constants).
         if (!pn->requires_grad) return;
         pn->ensure_grad();
@@ -842,22 +789,18 @@ Tensor reduction_loss(const Tensor& pred, const Tensor& target, const Tensor* we
         for (std::size_t i = 0; i < pn->data.size(); ++i) {
           const float d = pn->data[i] - tn->data[i];
           const float w = wn ? wn->data[i] : 1.0f;
-          pn->grad[i] += g * w * (squared ? 2.0f * d : (d > 0.0f ? 1.0f : d < 0.0f ? -1.0f : 0.0f));
+          pn->grad[i] += g * w * (2.0f * d);
         }
       });
 }
 }  // namespace
 
 Tensor mse_loss(const Tensor& pred, const Tensor& target) {
-  return reduction_loss(pred, target, nullptr, /*squared=*/true);
-}
-
-Tensor l1_loss(const Tensor& pred, const Tensor& target) {
-  return reduction_loss(pred, target, nullptr, /*squared=*/false);
+  return reduction_loss(pred, target, nullptr);
 }
 
 Tensor weighted_mse_loss(const Tensor& pred, const Tensor& target, const Tensor& weight) {
-  return reduction_loss(pred, target, &weight, /*squared=*/true);
+  return reduction_loss(pred, target, &weight);
 }
 
 }  // namespace irf::nn

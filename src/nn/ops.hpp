@@ -15,16 +15,11 @@ namespace irf::nn {
 
 // --- Elementwise ----------------------------------------------------------
 Tensor add(const Tensor& a, const Tensor& b);
-Tensor sub(const Tensor& a, const Tensor& b);
-Tensor mul(const Tensor& a, const Tensor& b);
 Tensor scale(const Tensor& a, float factor);
-Tensor add_scalar(const Tensor& a, float value);
 
 // --- Activations -----------------------------------------------------------
 Tensor relu(const Tensor& a);
-Tensor leaky_relu(const Tensor& a, float negative_slope = 0.01f);
 Tensor sigmoid(const Tensor& a);
-Tensor tanh_op(const Tensor& a);
 
 // --- Convolution / pooling --------------------------------------------------
 /// 2-D convolution (cross-correlation). `weight` is [Cout, Cin, kh, kw];
@@ -67,7 +62,6 @@ Tensor channel_max(const Tensor& x);
 
 // --- Losses (scalar results) ---------------------------------------------------
 Tensor mse_loss(const Tensor& pred, const Tensor& target);
-Tensor l1_loss(const Tensor& pred, const Tensor& target);
 /// MSE with a per-pixel weight map (same shape as pred). Used to emphasise
 /// hotspot regions.
 Tensor weighted_mse_loss(const Tensor& pred, const Tensor& target, const Tensor& weight);

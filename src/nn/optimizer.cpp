@@ -6,7 +6,10 @@
 
 namespace irf::nn {
 
-Optimizer::Optimizer(std::vector<Tensor> params) : params_(std::move(params)) {
+Adam::Adam(std::vector<Tensor> params, double lr, double beta1, double beta2, double eps,
+           double weight_decay)
+    : params_(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps),
+      weight_decay_(weight_decay) {
   for (const Tensor& p : params_) {
     if (!p.defined() || !p.requires_grad()) {
       throw ConfigError("optimizer parameter must be defined and require grad");
@@ -14,11 +17,11 @@ Optimizer::Optimizer(std::vector<Tensor> params) : params_(std::move(params)) {
   }
 }
 
-void Optimizer::zero_grad() {
+void Adam::zero_grad() {
   for (Tensor& p : params_) p.zero_grad();
 }
 
-double Optimizer::clip_grad_norm(double max_norm) {
+double Adam::clip_grad_norm(double max_norm) {
   double total = 0.0;
   for (const Tensor& p : params_) {
     for (float g : p.grad()) total += static_cast<double>(g) * g;
@@ -32,32 +35,6 @@ double Optimizer::clip_grad_norm(double max_norm) {
   }
   return total;
 }
-
-Sgd::Sgd(std::vector<Tensor> params, double lr, double momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {}
-
-void Sgd::step() {
-  for (Tensor& p : params_) {
-    if (p.grad().empty()) continue;  // parameter unused in this graph
-    if (momentum_ > 0.0) {
-      std::vector<float>& vel = velocity_[p.node().get()];
-      if (vel.empty()) vel.assign(p.data().size(), 0.0f);
-      for (std::size_t i = 0; i < p.data().size(); ++i) {
-        vel[i] = static_cast<float>(momentum_ * vel[i] + p.grad()[i]);
-        p.data()[i] -= static_cast<float>(lr_) * vel[i];
-      }
-    } else {
-      for (std::size_t i = 0; i < p.data().size(); ++i) {
-        p.data()[i] -= static_cast<float>(lr_) * p.grad()[i];
-      }
-    }
-  }
-}
-
-Adam::Adam(std::vector<Tensor> params, double lr, double beta1, double beta2, double eps,
-           double weight_decay)
-    : Optimizer(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps),
-      weight_decay_(weight_decay) {}
 
 void Adam::step() {
   ++t_;

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file optimizer.hpp
-/// First-order optimizers over a parameter list. State is keyed by the
+/// The Adam optimizer over a parameter list. State is keyed by the
 /// parameter's graph node, so the same optimizer instance follows the
 /// parameters across training steps.
 
@@ -12,13 +12,16 @@
 
 namespace irf::nn {
 
-class Optimizer {
+/// Adam (Kingma & Ba) with bias correction. A non-zero `weight_decay`
+/// applies decoupled decay (AdamW): p -= lr * wd * p before the moment
+/// update is applied.
+class Adam {
  public:
-  explicit Optimizer(std::vector<Tensor> params);
-  virtual ~Optimizer() = default;
+  Adam(std::vector<Tensor> params, double lr, double beta1 = 0.9, double beta2 = 0.999,
+       double eps = 1e-8, double weight_decay = 0.0);
 
   /// Apply one update from the accumulated gradients.
-  virtual void step() = 0;
+  void step();
 
   /// Clear gradients of all parameters.
   void zero_grad();
@@ -26,36 +29,10 @@ class Optimizer {
   /// Global L2 gradient-norm clipping; returns the pre-clip norm.
   double clip_grad_norm(double max_norm);
 
- protected:
+  double& lr() { return lr_; }
+
+ private:
   std::vector<Tensor> params_;
-};
-
-/// SGD with optional momentum.
-class Sgd final : public Optimizer {
- public:
-  Sgd(std::vector<Tensor> params, double lr, double momentum = 0.0);
-  void step() override;
-
-  double& lr() { return lr_; }
-
- private:
-  double lr_;
-  double momentum_;
-  std::unordered_map<const detail::Node*, std::vector<float>> velocity_;
-};
-
-/// Adam (Kingma & Ba) with bias correction. A non-zero `weight_decay`
-/// applies decoupled decay (AdamW): p -= lr * wd * p before the moment
-/// update is applied.
-class Adam final : public Optimizer {
- public:
-  Adam(std::vector<Tensor> params, double lr, double beta1 = 0.9, double beta2 = 0.999,
-       double eps = 1e-8, double weight_decay = 0.0);
-  void step() override;
-
-  double& lr() { return lr_; }
-
- private:
   double lr_;
   double beta1_;
   double beta2_;

@@ -49,11 +49,6 @@ Tensor Tensor::from_data(Shape shape, std::vector<float> data, bool requires_gra
   return wrap(std::move(node));
 }
 
-Tensor Tensor::from_grid(const GridF& grid) {
-  Shape shape{1, 1, grid.height(), grid.width()};
-  return from_data(shape, grid.data());
-}
-
 const Shape& Tensor::shape() const {
   if (!node_) throw Error("shape() on undefined tensor");
   return node_->shape;
@@ -130,11 +125,6 @@ void Tensor::zero_grad() {
   if (node_ && !node_->grad.empty()) {
     std::fill(node_->grad.begin(), node_->grad.end(), 0.0f);
   }
-}
-
-Tensor Tensor::detached() const {
-  if (!node_) throw Error("detached() on undefined tensor");
-  return from_data(node_->shape, node_->data, /*requires_grad=*/false);
 }
 
 void Tensor::backward() {

@@ -65,8 +65,6 @@ class Tensor {
   /// Copy data in (size must match shape.numel()).
   static Tensor from_data(Shape shape, std::vector<float> data,
                           bool requires_grad = false);
-  /// 1x1xHxW tensor from a Grid2D.
-  static Tensor from_grid(const GridF& grid);
 
   bool defined() const { return node_ != nullptr; }
   const Shape& shape() const;
@@ -97,9 +95,6 @@ class Tensor {
 
   /// Zero this node's grad buffer if allocated.
   void zero_grad();
-
-  /// Detached copy sharing no tape history (same data).
-  Tensor detached() const;
 
   // --- Internal helpers used by ops.cpp ---------------------------------
   std::shared_ptr<detail::Node> node() const { return node_; }

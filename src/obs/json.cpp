@@ -11,6 +11,11 @@ namespace irf::obs {
 
 namespace {
 
+/// Deepest array/object nesting a document may have. The parser recurses once
+/// per level, so without a bound a hostile document overflows the stack; the
+/// deepest document this project writes nests 4 levels.
+constexpr int kMaxDepth = 256;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -58,8 +63,16 @@ class Parser {
     const char c = peek();
     JsonValue v;
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        }
+        ++depth_;
+        JsonValue nested = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return nested;
+      }
       case '"':
         v.kind = JsonValue::Kind::kString;
         v.string = parse_string();
@@ -204,6 +217,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

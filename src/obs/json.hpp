@@ -26,16 +26,14 @@ struct JsonValue {
   std::vector<JsonValue> array;
   std::map<std::string, JsonValue> object;
 
-  bool is_object() const { return kind == Kind::kObject; }
-  bool is_array() const { return kind == Kind::kArray; }
-
   /// Object member access; throws ParseError if absent or not an object.
   const JsonValue& at(const std::string& key) const;
   bool has(const std::string& key) const;
 };
 
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
-/// garbage rejected). Throws irf::ParseError on any syntax error.
+/// garbage rejected). Throws irf::ParseError on any syntax error and on
+/// arrays/objects nested deeper than 256 levels.
 JsonValue parse_json(const std::string& text);
 
 /// `s` with JSON string escaping applied, without surrounding quotes.

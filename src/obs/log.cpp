@@ -9,8 +9,6 @@ namespace {
 std::atomic<int> g_log_level{static_cast<int>(LogLevel::kNormal)};
 }  // namespace
 
-LogLevel log_level() { return static_cast<LogLevel>(g_log_level.load(std::memory_order_relaxed)); }
-
 void set_log_level(LogLevel level) {
   g_log_level.store(static_cast<int>(level), std::memory_order_relaxed);
 }

@@ -18,7 +18,6 @@ namespace irf::obs {
 
 enum class LogLevel { kQuiet = 0, kNormal = 1, kVerbose = 2 };
 
-LogLevel log_level();
 void set_log_level(LogLevel level);
 
 /// True when a message at `level` would be emitted.

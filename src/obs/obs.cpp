@@ -319,6 +319,10 @@ void export_prometheus(const std::string& path) {
 std::size_t check_prometheus_text(const std::string& text) {
   // Exposition-format line grammar: `name{labels} value [timestamp]`,
   // `# HELP name ...`, `# TYPE name kind`, other `#` comments, blank lines.
+  // libstdc++'s std::regex_match recurses once per character, so a line is
+  // length-checked before any regex sees it; prometheus_text() writes lines
+  // of well under 100 bytes.
+  constexpr std::size_t kMaxLineBytes = 1024;
   static const std::regex kSample(
       R"(^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[ \t]*[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*"([ \t]*,[ \t]*[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*")*[ \t]*,?[ \t]*\})?[ \t]+(\S+)([ \t]+[-+]?[0-9]+)?[ \t]*$)");
   static const std::regex kTypeComment(
@@ -332,6 +336,11 @@ std::size_t check_prometheus_text(const std::string& text) {
   std::string line;
   while (std::getline(in, line)) {
     ++line_no;
+    if (line.size() > kMaxLineBytes) {
+      throw ParseError("prometheus line " + std::to_string(line_no) + ": " +
+                       std::to_string(line.size()) + " bytes, longer than the " +
+                       std::to_string(kMaxLineBytes) + "-byte limit");
+    }
     if (line.empty() || line.find_first_not_of(" \t") == std::string::npos) continue;
     if (line[0] == '#') {
       // HELP/TYPE comments must be well-formed; any other comment is free text.

@@ -75,7 +75,8 @@ void export_prometheus(const std::string& path);
 
 /// Validate `text` against the exposition format line grammar (comments,
 /// `name{labels} value` samples). Returns the number of sample lines;
-/// throws irf::ParseError with a line number on the first malformed line.
+/// throws irf::ParseError with a line number on the first malformed line or
+/// the first line longer than 1024 bytes.
 std::size_t check_prometheus_text(const std::string& text);
 
 /// Bench-harness hook: enable metric collection (unless IRF_METRICS=0

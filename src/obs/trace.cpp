@@ -97,13 +97,6 @@ void emit_span(const char* name, const char* category,
 
 int current_span_depth() { return static_cast<int>(span_stack().size()); }
 
-std::vector<std::string> current_span_path() {
-  std::vector<std::string> path;
-  path.reserve(span_stack().size());
-  for (const char* name : span_stack()) path.emplace_back(name);
-  return path;
-}
-
 ScopedSpan::ScopedSpan(const char* name, const char* category)
     : name_(name), category_(category), start_(std::chrono::steady_clock::now()),
       capture_(trace_enabled()) {

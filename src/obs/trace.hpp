@@ -49,9 +49,6 @@ void clear_trace_events();
 /// Nesting depth of the calling thread's active span stack.
 int current_span_depth();
 
-/// Names of the calling thread's active spans, outermost first.
-std::vector<std::string> current_span_path();
-
 /// Residual-curve capture gate: when on (and tracing is on), iterative
 /// solvers attach a bounded, downsampled per-iteration residual curve to
 /// their solve span. Off by default — the curve costs trace-buffer space per

@@ -146,12 +146,6 @@ struct EngineOptions {
   /// larger edit sets force the cold path.
   int max_stamp_edits = 8;
 
-  /// Test hook: sleep this long between the pre-inference deadline check
-  /// and stage B, simulating a slow model forward. Pins the
-  /// completed-work-wins deadline policy (AnalysisResult::deadline_exceeded)
-  /// deterministically in tests; leave 0 in production.
-  double debug_batch_delay_seconds = 0.0;
-
   /// When non-empty, the engine (over)writes the flight-recorder JSON dump
   /// here every time a request degrades, misses its deadline, falls back
   /// from warm-start, or trips a CheckError — a post-mortem of the lead-up.

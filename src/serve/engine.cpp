@@ -36,9 +36,6 @@ void validate_options(const EngineOptions& options) {
   if (options.queue_capacity < 1) {
     throw ConfigError("serve: queue_capacity must be >= 1");
   }
-  if (options.debug_batch_delay_seconds < 0.0) {
-    throw ConfigError("serve: debug_batch_delay_seconds must be >= 0");
-  }
 }
 
 double unix_seconds_now() {
@@ -722,13 +719,6 @@ void Engine::process_batch(std::vector<std::shared_ptr<Pending>> batch) {
     alive.push_back(std::move(w));
   }
   if (alive.empty()) return;
-
-  if (options_.debug_batch_delay_seconds > 0.0) {
-    // Test hook: simulate a slow stage B after the last deadline check so
-    // the completed-work-wins policy is exercised deterministically.
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(options_.debug_batch_delay_seconds));
-  }
 
   // Stage B: one batched forward for every surviving request.
   bool model_ok = pipeline_.has_value();

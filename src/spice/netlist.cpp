@@ -82,14 +82,6 @@ void Netlist::add_capacitor(std::string name, NodeId a, NodeId b, double farads)
   capacitors_.push_back({std::move(name), a, b, farads});
 }
 
-bool Netlist::has_transient_elements() const {
-  if (!capacitors_.empty()) return true;
-  for (const CurrentSource& i : current_sources_) {
-    if (i.waveform && !i.waveform->is_dc()) return true;
-  }
-  return false;
-}
-
 std::vector<NodeId> Netlist::pad_nodes() const {
   std::vector<NodeId> pads;
   pads.reserve(voltage_sources_.size());

@@ -97,9 +97,6 @@ class Netlist {
   const std::vector<VoltageSource>& voltage_sources() const { return voltage_sources_; }
   const std::vector<Capacitor>& capacitors() const { return capacitors_; }
 
-  /// True if any element requires transient analysis (caps or PWL sources).
-  bool has_transient_elements() const;
-
   /// Nodes driven by a voltage source (the power pads), ascending and each
   /// once, whatever the order of the source cards.
   std::vector<NodeId> pad_nodes() const;

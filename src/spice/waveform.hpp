@@ -21,7 +21,6 @@ class Waveform {
   double value_at(double t) const;
 
   bool is_dc() const { return times_.size() == 1; }
-  double dc_value() const { return values_.front(); }
 
   /// Largest |value| over the waveform (for scaling/validation).
   double max_abs() const;

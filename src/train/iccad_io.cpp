@@ -5,7 +5,6 @@
 #include "common/error.hpp"
 #include "common/image_io.hpp"
 #include "features/extractor.hpp"
-#include "spice/parser.hpp"
 #include "spice/writer.hpp"
 
 namespace irf::train {
@@ -54,42 +53,6 @@ std::vector<std::string> export_design_set(const DesignSet& set, const std::stri
     dirs.push_back(export_design(p, root, set.image_size));
   }
   return dirs;
-}
-
-ImportedDesign import_design(const std::string& design_dir) {
-  const fs::path dir(design_dir);
-  if (!fs::is_directory(dir)) {
-    throw ParseError("not a design directory: " + design_dir);
-  }
-  ImportedDesign out;
-  out.name = dir.filename().string();
-  out.current = read_csv((dir / "current_map.csv").string());
-  out.eff_dist = read_csv((dir / "eff_dist_map.csv").string());
-  out.pdn_density = read_csv((dir / "pdn_density.csv").string());
-  out.ir_drop = read_csv((dir / "ir_drop_map.csv").string());
-  if (!out.current.same_shape(out.eff_dist) || !out.current.same_shape(out.pdn_density) ||
-      !out.current.same_shape(out.ir_drop)) {
-    throw ParseError("imported maps of '" + out.name + "' have mismatched shapes");
-  }
-  const fs::path deck = dir / "netlist.sp";
-  if (fs::exists(deck)) {
-    out.netlist = spice::parse_file(deck.string());
-    out.has_netlist = true;
-  }
-  return out;
-}
-
-Sample make_image_only_sample(const ImportedDesign& design) {
-  Sample s;
-  s.design_name = design.name;
-  // External/real data is "hard" under the paper's predefined difficulty
-  // measurer — generated data comes through the generator path instead.
-  s.kind = pg::DesignKind::kReal;
-  s.flat.channels = {design.current, design.eff_dist, design.pdn_density};
-  s.flat.names = {"current_all", "eff_dist", "pdn_density_all"};
-  s.label = design.ir_drop;
-  s.rough_bottom = GridF(design.ir_drop.height(), design.ir_drop.width(), 0.0f);
-  return s;
 }
 
 }  // namespace irf::train

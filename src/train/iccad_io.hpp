@@ -1,13 +1,12 @@
 #pragma once
 
 /// \file iccad_io.hpp
-/// Import/export in the ICCAD-2023 contest's directory layout: one folder
-/// per design holding the SPICE deck plus image-formatted CSV matrices
-/// (current map, effective distance map, PDN density map, golden IR drop,
-/// one value per 1x1 um pixel). Exporting our generated designs in this
-/// layout makes them consumable by external contest-style tooling; importing
-/// lets a user who has the real contest data evaluate the image-based
-/// baselines on it.
+/// Export in the ICCAD-2023 contest's directory layout: one folder per
+/// design holding the SPICE deck plus image-formatted CSV matrices (current
+/// map, effective distance map, PDN density map, golden IR drop, one value
+/// per 1x1 um pixel). Exporting the generated designs in this layout makes
+/// them consumable by external contest-style tooling; `irf_cli generate`
+/// writes every dataset through it. Nothing here reads the CSV images back.
 ///
 /// Layout per design directory:
 ///   <dir>/<name>/netlist.sp
@@ -30,25 +29,5 @@ std::string export_design(const PreparedDesign& prepared, const std::string& roo
 
 /// Export every design of the set (train and test). Returns the directories.
 std::vector<std::string> export_design_set(const DesignSet& set, const std::string& root);
-
-/// A design imported from the contest image layout. Only the image data is
-/// mandatory; the SPICE deck is loaded when present.
-struct ImportedDesign {
-  std::string name;
-  GridF current;
-  GridF eff_dist;
-  GridF pdn_density;
-  GridF ir_drop;                 ///< golden label
-  bool has_netlist = false;
-  spice::Netlist netlist;        ///< valid when has_netlist
-};
-
-/// Read one design directory. Throws ParseError on malformed/mismatched data.
-ImportedDesign import_design(const std::string& design_dir);
-
-/// Build an image-only Sample from an imported design: the flat stack holds
-/// exactly the contest triplet, so it supports FeatureView::kIccadTriplet
-/// (training/evaluating the image-based baselines on external data).
-Sample make_image_only_sample(const ImportedDesign& design);
 
 }  // namespace irf::train

@@ -6,17 +6,6 @@
 
 namespace irf::train {
 
-std::string view_name(FeatureView view) {
-  switch (view) {
-    case FeatureView::kIccadTriplet: return "iccad-triplet";
-    case FeatureView::kStructuralFlat: return "structural-flat";
-    case FeatureView::kFusionHier: return "fusion-hier";
-    case FeatureView::kFusionNoNum: return "fusion-no-num";
-    case FeatureView::kFusionFlat: return "fusion-flat";
-  }
-  throw ConfigError("unknown FeatureView");
-}
-
 namespace {
 bool is_numerical(const std::string& name) { return name.rfind("num_ir", 0) == 0; }
 }  // namespace

@@ -25,8 +25,6 @@ enum class FeatureView {
   kFusionFlat,     ///< collapsed maps incl. numerical (ablation w/o hierarchy)
 };
 
-std::string view_name(FeatureView view);
-
 struct Sample {
   std::string design_name;
   pg::DesignKind kind = pg::DesignKind::kFake;

@@ -2,8 +2,6 @@
 # End-to-end smoke test of the irf_cli tool: generate a tiny dataset, solve
 # one deck, train a 1-epoch pipeline on the generated designs, analyze a
 # deck with the saved model, and serve the design set through the engine.
-# Old flag spellings (--px, --iters, --fake, train --out, analyze --model)
-# are exercised deliberately: they must keep working as deprecated aliases.
 # Registered with ctest (see tests/CMakeLists.txt).
 set -e
 
@@ -17,23 +15,18 @@ echo "== help (generated from the flag tables) =="
 "$CLI" --help | grep -q serve-load
 "$CLI" serve-load --help | grep -q -- '--shards'
 "$CLI" solve --help | grep -q -- '--rough-iters'
-"$CLI" solve --help | grep -q 'deprecated alias: --iters'
 "$CLI" train --help | grep -q -- '--save-model'
 
-echo "== generate (deprecated alias spellings) =="
-"$CLI" generate --out "$WORK/designs" --fake 2 --real 2 --px 32 --seed 5
+echo "== generate =="
+"$CLI" generate --out "$WORK/designs" --fake-designs 2 --real-designs 2 --pixels 32 --seed 5
 
 DECK=$(find "$WORK/designs" -name netlist.sp | sort | head -1)
 echo "== solve ($DECK) =="
-"$CLI" solve "$DECK" --iters 3 --px 32 --out "$WORK/rough.csv"
+"$CLI" solve "$DECK" --rough-iters 3 --pixels 32 --out "$WORK/rough.csv"
 test -s "$WORK/rough.csv"
 
-echo "== solve (canonical kebab-case spellings) =="
-"$CLI" solve "$DECK" --rough-iters 3 --pixels 32 --out "$WORK/rough2.csv"
-cmp "$WORK/rough.csv" "$WORK/rough2.csv"  # alias and canonical are the same flag
-
 echo "== telemetry (--trace-out / --metrics-out) =="
-"$CLI" solve "$DECK" --iters 3 --px 32 \
+"$CLI" solve "$DECK" --rough-iters 3 --pixels 32 \
   --trace-out "$WORK/trace.json" --metrics-out "$WORK/metrics.json"
 test -s "$WORK/trace.json"
 test -s "$WORK/metrics.json"
@@ -46,7 +39,7 @@ grep -q '"name":"feature_extract"' "$WORK/trace.json"
 grep -q '"solver.pcg.solves"' "$WORK/metrics.json"
 
 echo "== telemetry via environment (IRF_TRACE) =="
-IRF_TRACE="$WORK/env_trace.json" "$CLI" solve "$DECK" --iters 3 --px 32
+IRF_TRACE="$WORK/env_trace.json" "$CLI" solve "$DECK" --rough-iters 3 --pixels 32
 test -s "$WORK/env_trace.json"
 "$CLI" json-check "$WORK/env_trace.json"
 grep -q '"name":"rough_solve"' "$WORK/env_trace.json"
@@ -57,13 +50,13 @@ if grep -q '"r0"' "$WORK/env_trace.json"; then
   echo "residual curve captured without IRF_RESIDUAL_CURVES"; exit 1
 fi
 IRF_TRACE="$WORK/env_trace_curve.json" IRF_RESIDUAL_CURVES=1 \
-  "$CLI" solve "$DECK" --iters 3 --px 32
+  "$CLI" solve "$DECK" --rough-iters 3 --pixels 32
 "$CLI" json-check "$WORK/env_trace_curve.json"
 grep -q '"r0"' "$WORK/env_trace_curve.json"
 grep -q 'res_curve_stride' "$WORK/env_trace_curve.json"
 
 echo "== prometheus exposition (--prom-out / prom-check) =="
-"$CLI" solve "$DECK" --iters 3 --px 32 --prom-out "$WORK/metrics.prom"
+"$CLI" solve "$DECK" --rough-iters 3 --pixels 32 --prom-out "$WORK/metrics.prom"
 test -s "$WORK/metrics.prom"
 grep -q '^# TYPE irf_' "$WORK/metrics.prom"
 grep -q 'quantile="0.99"' "$WORK/metrics.prom"
@@ -73,19 +66,17 @@ if "$CLI" prom-check "$WORK/rough.csv"; then
 fi
 
 echo "== quiet mode =="
-OUT=$(IRF_LOG_LEVEL=quiet "$CLI" solve "$DECK" --iters 3 --px 32)
+OUT=$(IRF_LOG_LEVEL=quiet "$CLI" solve "$DECK" --rough-iters 3 --pixels 32)
 test -z "$OUT" || { echo "quiet mode must not print: $OUT"; exit 1; }
 
 echo "== train =="
-"$CLI" train --designs "$WORK/designs" --out "$WORK/model.bin" \
-  --epochs 1 --px 32 --iters 2 --seed 5
+"$CLI" train --designs "$WORK/designs" --save-model "$WORK/model.bin" \
+  --epochs 1 --pixels 32 --rough-iters 2 --seed 5
 test -s "$WORK/model.bin"
 
 echo "== analyze =="
-"$CLI" analyze --model "$WORK/model.bin" "$DECK" --out "$WORK/pred.csv"
+"$CLI" analyze --load-model "$WORK/model.bin" "$DECK" --out "$WORK/pred.csv"
 test -s "$WORK/pred.csv"
-"$CLI" analyze --load-model "$WORK/model.bin" "$DECK" --out "$WORK/pred2.csv"
-cmp "$WORK/pred.csv" "$WORK/pred2.csv"
 
 echo "== serve-batch =="
 "$CLI" serve-batch --load-model "$WORK/model.bin" --designs "$WORK/designs" \
@@ -138,14 +129,44 @@ echo "== error handling =="
 if "$CLI" bogus-subcommand; then echo "unknown subcommand must fail"; exit 1; fi
 if "$CLI" generate; then echo "generate without --out must fail"; exit 1; fi
 if "$CLI" solve /nonexistent.sp; then echo "missing deck must fail"; exit 1; fi
-if "$CLI" analyze --model /nonexistent.bin "$DECK"; then
+if "$CLI" analyze --load-model /nonexistent.bin "$DECK"; then
   echo "missing model must fail"; exit 1
 fi
-if "$CLI" solve "$DECK" --iters abc; then echo "non-numeric --iters must fail"; exit 1; fi
-if "$CLI" solve "$DECK" --iters 3 --px 0; then echo "--px 0 must fail"; exit 1; fi
-if "$CLI" solve "$DECK" --iters 3 --px -4; then echo "negative --px must fail"; exit 1; fi
-if "$CLI" solve "$DECK" --iters -1; then echo "negative --iters must fail"; exit 1; fi
+if "$CLI" solve "$DECK" --rough-iters abc; then
+  echo "non-numeric --rough-iters must fail"; exit 1
+fi
+if "$CLI" solve "$DECK" --rough-iters 3 --pixels 0; then
+  echo "--pixels 0 must fail"; exit 1
+fi
+if "$CLI" solve "$DECK" --rough-iters 3 --pixels -4; then
+  echo "negative --pixels must fail"; exit 1
+fi
+if "$CLI" solve "$DECK" --rough-iters -1; then
+  echo "negative --rough-iters must fail"; exit 1
+fi
+# Each flag has one kebab-case spelling: --iters is an unknown flag.
+if "$CLI" solve "$DECK" --iters 3 2> "$WORK/iters.err"; then
+  echo "--iters must fail as an unknown flag"; exit 1
+fi
+grep -q 'unknown flag --iters' "$WORK/iters.err"
+# Numbers go through the shared checked parsers: no hex floats, no blanks.
+if "$CLI" serve-batch --designs "$WORK/designs" --timeout-seconds 0x1p-2; then
+  echo "a hex-float --timeout-seconds must fail"; exit 1
+fi
+if "$CLI" serve-batch --designs "$WORK/designs" --timeout-seconds ' 0.5'; then
+  echo "a blank-led --timeout-seconds must fail"; exit 1
+fi
 if "$CLI" json-check "$WORK/rough.csv"; then echo "json-check must reject CSV"; exit 1; fi
+# Hostile artifacts fail with exit 1 (a parse error), not a crash: a
+# 100000-deep JSON array and a Prometheus line with a 100000-byte label.
+awk 'BEGIN { for (i = 0; i < 100000; i++) printf "[";
+            for (i = 0; i < 100000; i++) printf "]" }' > "$WORK/deep.json"
+rc=0; "$CLI" json-check "$WORK/deep.json" || rc=$?
+test "$rc" -eq 1 || { echo "json-check on a deep array exited $rc, want 1"; exit 1; }
+awk 'BEGIN { printf "m{a=\""; for (i = 0; i < 100000; i++) printf "x"; print "\"} 1" }' \
+  > "$WORK/long.prom"
+rc=0; "$CLI" prom-check "$WORK/long.prom" || rc=$?
+test "$rc" -eq 1 || { echo "prom-check on a long line exited $rc, want 1"; exit 1; }
 if "$CLI" solve "$DECK" --bogus-flag 1; then echo "unknown flag must fail"; exit 1; fi
 if "$CLI" serve-batch --designs /nonexistent-dir; then
   echo "serve-batch with a bad design dir must fail"; exit 1

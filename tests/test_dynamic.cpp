@@ -37,7 +37,7 @@ TEST_F(DynamicFixture, SplitAndTransientElements) {
   EXPECT_EQ(set_->train.size(), 3u);
   EXPECT_EQ(set_->test.size(), 1u);
   for (const DynamicDesign& d : set_->train) {
-    EXPECT_TRUE(d.design->netlist.has_transient_elements());
+    EXPECT_FALSE(d.design->netlist.capacitors().empty());
     EXPECT_EQ(d.worst_ir_drop.size(),
               static_cast<std::size_t>(d.design->netlist.num_nodes()));
   }

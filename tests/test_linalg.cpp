@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "csr_checks.hpp"
 #include "linalg/coo.hpp"
 #include "linalg/csr.hpp"
 #include "linalg/dense.hpp"
@@ -32,7 +33,6 @@ TEST(VectorOps, DotAndNorm) {
   Vec b{4.0, -5.0, 6.0};
   EXPECT_DOUBLE_EQ(dot(a, b), 12.0);
   EXPECT_DOUBLE_EQ(norm2(Vec{3.0, 4.0}), 5.0);
-  EXPECT_DOUBLE_EQ(norm_inf(b), 6.0);
 }
 
 TEST(VectorOps, SizeMismatchThrows) {
@@ -51,12 +51,6 @@ TEST(VectorOps, AxpyXpby) {
   xpby(x, 0.5, y);  // y = x + 0.5 y
   EXPECT_DOUBLE_EQ(y[0], 7.0);
   EXPECT_DOUBLE_EQ(y[1], 14.0);
-}
-
-TEST(VectorOps, NonFiniteDetection) {
-  EXPECT_FALSE(has_non_finite(Vec{1.0, -2.0}));
-  EXPECT_TRUE(has_non_finite(Vec{1.0, std::nan("")}));
-  EXPECT_TRUE(has_non_finite(Vec{1.0, INFINITY}));
 }
 
 TEST(TripletBuilder, RejectsOutOfRange) {
@@ -134,41 +128,19 @@ TEST(CsrMatrix, StampConductanceSymmetric) {
   b.stamp_conductance(1, 2, 3.0);
   b.stamp_grounded_conductance(0, 1.0);
   CsrMatrix m = CsrMatrix::from_triplets(b);
-  EXPECT_TRUE(m.is_symmetric());
+  EXPECT_TRUE(test::is_symmetric(m));
   EXPECT_DOUBLE_EQ(m.at(0, 0), 3.0);
   EXPECT_DOUBLE_EQ(m.at(1, 1), 5.0);
   EXPECT_DOUBLE_EQ(m.at(0, 1), -2.0);
-  EXPECT_TRUE(m.is_diagonally_dominant());
 }
 
 TEST(CsrMatrix, RowSumsOfLaplacianInterior) {
   CsrMatrix m = laplacian_1d(5);
-  Vec s = m.row_sums();
+  Vec s = test::row_sums(m);
   // Interior rows sum to 0; boundary rows to +1 (Dirichlet).
   EXPECT_DOUBLE_EQ(s[2], 0.0);
   EXPECT_DOUBLE_EQ(s[0], 1.0);
   EXPECT_DOUBLE_EQ(s[4], 1.0);
-}
-
-TEST(CsrMatrix, TransposeInvolution) {
-  Rng rng(4);
-  TripletBuilder b(5, 7);
-  for (int k = 0; k < 15; ++k) {
-    b.add(rng.uniform_int(0, 4), rng.uniform_int(0, 6), rng.normal());
-  }
-  CsrMatrix m = CsrMatrix::from_triplets(b);
-  CsrMatrix mtt = m.transposed().transposed();
-  ASSERT_EQ(m.rows(), mtt.rows());
-  for (int r = 0; r < m.rows(); ++r) {
-    for (int c = 0; c < m.cols(); ++c) EXPECT_NEAR(m.at(r, c), mtt.at(r, c), 1e-15);
-  }
-}
-
-TEST(CsrMatrix, IdentityMultiply) {
-  CsrMatrix eye = CsrMatrix::identity(4);
-  Vec x{1.0, 2.0, 3.0, 4.0};
-  Vec y = eye.multiply(x);
-  for (int i = 0; i < 4; ++i) EXPECT_DOUBLE_EQ(y[i], x[i]);
 }
 
 TEST(CsrMatrix, DiagIndexMatchesAtAfterValueSwapAndCopy) {
@@ -274,19 +246,8 @@ TEST(Smoothers, GaussSeidelConvergesOnSmallSystem) {
   Vec b(8, 1.0);
   Vec x_exact = chol.solve(b);
   Vec x(8, 0.0);
-  for (int s = 0; s < 300; ++s) gauss_seidel_forward(a, b, x);
+  for (int s = 0; s < 150; ++s) symmetric_gauss_seidel(a, b, x);
   for (int i = 0; i < 8; ++i) EXPECT_NEAR(x[i], x_exact[i], 1e-8);
-}
-
-TEST(Smoothers, SymmetricGsBeatsSingleSweep) {
-  CsrMatrix a = laplacian_1d(30);
-  Vec b(30, 1.0);
-  Vec x1(30, 0.0), x2(30, 0.0);
-  gauss_seidel_forward(a, b, x1);
-  symmetric_gauss_seidel(a, b, x2);
-  double r1 = norm2(subtract(b, a.multiply(x1)));
-  double r2 = norm2(subtract(b, a.multiply(x2)));
-  EXPECT_LT(r2, r1);
 }
 
 TEST(Smoothers, ZeroDiagonalThrows) {
@@ -296,7 +257,7 @@ TEST(Smoothers, ZeroDiagonalThrows) {
   builder.add(1, 1, 1.0);
   CsrMatrix a = CsrMatrix::from_triplets(builder);
   Vec b(2, 1.0), x(2, 0.0);
-  EXPECT_THROW(gauss_seidel_forward(a, b, x), NumericError);
+  EXPECT_THROW(symmetric_gauss_seidel(a, b, x), NumericError);
 }
 
 }  // namespace

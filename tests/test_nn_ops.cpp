@@ -23,10 +23,7 @@ TEST(Ops, ElementwiseBasics) {
   Tensor a = Tensor::full({1, 1, 1, 3}, 2.0f);
   Tensor b = Tensor::from_data({1, 1, 1, 3}, {1.0f, -1.0f, 0.5f});
   EXPECT_FLOAT_EQ(add(a, b).data()[0], 3.0f);
-  EXPECT_FLOAT_EQ(sub(a, b).data()[1], 3.0f);
-  EXPECT_FLOAT_EQ(mul(a, b).data()[2], 1.0f);
   EXPECT_FLOAT_EQ(scale(a, -2.0f).data()[0], -4.0f);
-  EXPECT_FLOAT_EQ(add_scalar(a, 1.0f).data()[0], 3.0f);
   Tensor c = Tensor::zeros({1, 1, 3, 1});
   EXPECT_THROW(add(a, c), DimensionError);
 }
@@ -36,13 +33,9 @@ TEST(Ops, Activations) {
   Tensor r = relu(x);
   EXPECT_FLOAT_EQ(r.data()[0], 0.0f);
   EXPECT_FLOAT_EQ(r.data()[3], 3.0f);
-  Tensor l = leaky_relu(x, 0.1f);
-  EXPECT_FLOAT_EQ(l.data()[0], -0.2f);
   Tensor s = sigmoid(x);
   EXPECT_NEAR(s.data()[2], 0.5f, 1e-6f);
   EXPECT_GT(s.data()[3], 0.95f);
-  Tensor t = tanh_op(x);
-  EXPECT_NEAR(t.data()[2], 0.0f, 1e-6f);
 }
 
 TEST(Ops, Conv2dIdentityKernel) {
@@ -186,7 +179,6 @@ TEST(Ops, Losses) {
   Tensor pred = Tensor::from_data({1, 1, 1, 2}, {1.0f, 3.0f});
   Tensor target = Tensor::from_data({1, 1, 1, 2}, {0.0f, 1.0f});
   EXPECT_NEAR(mse_loss(pred, target).scalar(), (1.0f + 4.0f) / 2.0f, 1e-6f);
-  EXPECT_NEAR(l1_loss(pred, target).scalar(), (1.0f + 2.0f) / 2.0f, 1e-6f);
   Tensor w = Tensor::from_data({1, 1, 1, 2}, {0.0f, 1.0f});
   EXPECT_NEAR(weighted_mse_loss(pred, target, w).scalar(), 4.0f / 2.0f, 1e-6f);
 }

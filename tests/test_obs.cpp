@@ -124,10 +124,6 @@ TEST_F(ObsTest, SpanNestingDepthAndPath) {
     {
       obs::ScopedSpan inner("inner");
       EXPECT_EQ(obs::current_span_depth(), 2);
-      const std::vector<std::string> path = obs::current_span_path();
-      ASSERT_EQ(path.size(), 2u);
-      EXPECT_EQ(path[0], "outer");
-      EXPECT_EQ(path[1], "inner");
     }
     EXPECT_EQ(obs::current_span_depth(), 1);
   }
@@ -170,7 +166,7 @@ TEST_F(ObsTest, ChromeTraceJsonParsesBack) {
   }
   const obs::JsonValue doc = obs::parse_json(obs::chrome_trace_json());
   const obs::JsonValue& events = doc.at("traceEvents");
-  ASSERT_TRUE(events.is_array());
+  ASSERT_EQ(events.kind, obs::JsonValue::Kind::kArray);
   ASSERT_EQ(events.array.size(), 2u);
   for (const obs::JsonValue& e : events.array) {
     EXPECT_EQ(e.at("ph").string, "X");
@@ -249,6 +245,14 @@ TEST_F(ObsTest, JsonParserRejectsMalformedInput) {
   EXPECT_THROW(obs::parse_json("{} trailing"), ParseError);
   EXPECT_THROW(obs::parse_json("\"unterminated"), ParseError);
   EXPECT_THROW(obs::parse_json("nul"), ParseError);
+  // Nesting is capped at 256 levels, so a hostile document fails cleanly
+  // instead of overflowing the recursive parser's stack.
+  auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_THROW(obs::parse_json(nested(100000)), ParseError);
+  EXPECT_THROW(obs::parse_json(nested(257)), ParseError);
+  EXPECT_NO_THROW(obs::parse_json(nested(256)));
 }
 
 // ---------------------------------------------------------------------------
@@ -434,6 +438,14 @@ TEST_F(ObsTest, PrometheusValidatorRejectsMalformedInput) {
   EXPECT_THROW(obs::check_prometheus_text("metric_name not_a_number\n"), ParseError);
   EXPECT_THROW(obs::check_prometheus_text("# TYPE irf_x bogus_kind\n"), ParseError);
   EXPECT_NO_THROW(obs::check_prometheus_text("# a plain comment\nok_metric 1\n"));
+  // Lines are capped at 1024 bytes before std::regex_match, which recurses
+  // once per character: `m{a="` + value + `"} 1` is 9 bytes plus the value.
+  auto sample_line = [](std::size_t value_bytes) {
+    return "m{a=\"" + std::string(value_bytes, 'x') + "\"} 1\n";
+  };
+  EXPECT_THROW(obs::check_prometheus_text(sample_line(100000)), ParseError);
+  EXPECT_THROW(obs::check_prometheus_text(sample_line(1024 - 9 + 1)), ParseError);
+  EXPECT_EQ(obs::check_prometheus_text(sample_line(1024 - 9)), 1u);
 }
 
 // ---------------------------------------------------------------------------

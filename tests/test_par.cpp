@@ -105,12 +105,9 @@ TEST(ParPool, ReduceIsDeterministicAcrossThreadCounts) {
   }
   par::set_num_threads(1);
   const double d1 = linalg::dot(a, b);
-  const double n1 = linalg::norm_inf(a);
   par::set_num_threads(4);
   const double d4 = linalg::dot(a, b);
-  const double n4 = linalg::norm_inf(a);
   EXPECT_EQ(d1, d4);  // bit-identical, not just close
-  EXPECT_EQ(n1, n4);
 }
 
 solver::SolveResult rough_solve(const pg::MnaSystem& sys) {

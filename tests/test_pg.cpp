@@ -9,6 +9,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "csr_checks.hpp"
 #include "linalg/dense.hpp"
 #include "pg/delta.hpp"
 #include "pg/generator.hpp"
@@ -32,7 +33,7 @@ TEST(Mna, HandSolvedLadder) {
   spice::Netlist net = spice::parse_string(kVoltageDivider);
   MnaSystem sys = assemble_mna(net);
   EXPECT_EQ(sys.conductance.rows(), 2);  // pad eliminated
-  EXPECT_TRUE(sys.conductance.is_symmetric());
+  EXPECT_TRUE(test::is_symmetric(sys.conductance));
 
   linalg::CholeskyFactor chol(linalg::DenseMatrix::from_csr(sys.conductance));
   linalg::Vec x = chol.solve(sys.rhs);

@@ -9,6 +9,7 @@
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
+#include "csr_checks.hpp"
 #include "linalg/dense.hpp"
 #include "pg/generator.hpp"
 #include "pg/solve.hpp"
@@ -160,11 +161,11 @@ TEST(Aggregation, GalerkinPreservesSymmetryAndRowSums) {
   Aggregation agg = double_pairwise_aggregate(a);
   CsrMatrix ac = galerkin_coarse_matrix(a, agg);
   EXPECT_EQ(ac.rows(), agg.num_aggregates);
-  EXPECT_TRUE(ac.is_symmetric(1e-10));
+  EXPECT_TRUE(test::is_symmetric(ac, 1e-10));
   // Galerkin with piecewise-constant P preserves the total row sum.
   double fine_sum = 0.0, coarse_sum = 0.0;
-  for (double s : a.row_sums()) fine_sum += s;
-  for (double s : ac.row_sums()) coarse_sum += s;
+  for (double s : test::row_sums(a)) fine_sum += s;
+  for (double s : test::row_sums(ac)) coarse_sum += s;
   EXPECT_NEAR(fine_sum, coarse_sum, 1e-9);
 }
 
@@ -188,7 +189,7 @@ TEST(Amg, HierarchyShrinks) {
   ASSERT_GE(amg.num_levels(), 3);
   for (int l = 1; l < amg.num_levels(); ++l) {
     EXPECT_LT(amg.level(l).matrix.rows(), amg.level(l - 1).matrix.rows());
-    EXPECT_TRUE(amg.level(l).matrix.is_symmetric(1e-9));
+    EXPECT_TRUE(test::is_symmetric(amg.level(l).matrix, 1e-9));
   }
   // Coarsening stops once a level has at most 64 unknowns.
   EXPECT_LE(amg.level(amg.num_levels() - 1).matrix.rows(), 64);

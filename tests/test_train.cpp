@@ -74,7 +74,8 @@ TEST_F(TrainFixture, ViewsExcludeNumericalWhereRequired) {
   for (FeatureView v : {FeatureView::kIccadTriplet, FeatureView::kStructuralFlat,
                         FeatureView::kFusionNoNum}) {
     for (const std::string& name : view_channels(s, v)) {
-      EXPECT_EQ(name.rfind("num_ir", 0), std::string::npos) << view_name(v);
+      EXPECT_EQ(name.rfind("num_ir", 0), std::string::npos)
+          << "view " << static_cast<int>(v);
     }
   }
 }

@@ -1,5 +1,5 @@
-// Tests for the additional training machinery: AdamW weight decay, cosine
-// LR schedule, and dropout.
+// Tests for the additional training machinery: AdamW weight decay and the
+// cosine LR schedule.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "nn/module.hpp"
 #include "nn/ops.hpp"
 #include "nn/optimizer.hpp"
 #include "models/unet.hpp"
@@ -34,49 +33,6 @@ TEST(AdamW, WeightDecayShrinksUnusedDirections) {
   EXPECT_LT(used.data()[0], 1.0f);
   EXPECT_LT(unused.data()[0], 1.0f);      // decay alone shrank it
   EXPECT_GT(unused.data()[0], 0.5f);      // (1 - 0.1*0.5)^10 ~ 0.60
-}
-
-TEST(Dropout, EvalIsIdentityTrainZeroes) {
-  nn::Dropout drop(0.5, 7);
-  nn::Tensor x = nn::Tensor::full({1, 1, 8, 8}, 1.0f);
-  drop.set_training(false);
-  nn::Tensor eval_out = drop.forward(x);
-  for (float v : eval_out.data()) EXPECT_FLOAT_EQ(v, 1.0f);
-
-  drop.set_training(true);
-  nn::Tensor train_out = drop.forward(x);
-  int zeros = 0;
-  for (float v : train_out.data()) {
-    if (v == 0.0f) {
-      ++zeros;
-    } else {
-      EXPECT_FLOAT_EQ(v, 2.0f);  // inverted scaling 1/(1-0.5)
-    }
-  }
-  EXPECT_GT(zeros, 8);   // p=0.5 on 64 values
-  EXPECT_LT(zeros, 56);
-}
-
-TEST(Dropout, GradientFlowsThroughKeptUnits) {
-  nn::Dropout drop(0.3, 9);
-  drop.set_training(true);
-  nn::Tensor x = nn::Tensor::full({1, 1, 4, 4}, 1.0f, true);
-  nn::Tensor y = drop.forward(x);
-  nn::Tensor loss = nn::mse_loss(y, nn::Tensor::zeros({1, 1, 4, 4}));
-  loss.backward();
-  // Dropped units get zero grad; kept units get non-zero grad.
-  for (std::size_t i = 0; i < x.data().size(); ++i) {
-    if (y.data()[i] == 0.0f) {
-      EXPECT_FLOAT_EQ(x.grad()[i], 0.0f);
-    } else {
-      EXPECT_NE(x.grad()[i], 0.0f);
-    }
-  }
-}
-
-TEST(Dropout, RejectsBadProbability) {
-  EXPECT_THROW(nn::Dropout(1.0), ConfigError);
-  EXPECT_THROW(nn::Dropout(-0.1), ConfigError);
 }
 
 TEST(Trainer, OnEpochCallbackAndCosineDecayRun) {

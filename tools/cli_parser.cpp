@@ -1,18 +1,19 @@
 #include "cli_parser.hpp"
 
-#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 
 namespace irf::cli {
 
 const std::vector<FlagSpec>& global_flags() {
   static const std::vector<FlagSpec> kGlobal = {
-      {"trace-out", "", "FILE.json", "write Chrome trace-event spans for the run"},
-      {"metrics-out", "", "FILE.json", "write the metrics snapshot for the run"},
-      {"prom-out", "", "FILE.prom", "write the metrics snapshot in Prometheus text format"},
-      {"help", "", "", "show this help and exit"},
+      {"trace-out", "FILE.json", "write Chrome trace-event spans for the run"},
+      {"metrics-out", "FILE.json", "write the metrics snapshot for the run"},
+      {"prom-out", "FILE.prom", "write the metrics snapshot in Prometheus text format"},
+      {"help", "", "show this help and exit"},
   };
   return kGlobal;
 }
@@ -25,18 +26,12 @@ std::string ParsedArgs::flag(const std::string& name, const std::string& fallbac
 int ParsedArgs::flag_int(const std::string& name, int fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  const std::string& text = it->second;
-  std::size_t consumed = 0;
-  int value = 0;
-  try {
-    value = std::stoi(text, &consumed);
-  } catch (const std::exception&) {
-    throw ConfigError("flag --" + name + " expects an integer, got '" + text + "'");
+  const std::optional<std::int64_t> value = try_parse_int64(it->second);
+  if (!value || *value < std::numeric_limits<int>::min() ||
+      *value > std::numeric_limits<int>::max()) {
+    throw ConfigError("flag --" + name + " expects an integer, got '" + it->second + "'");
   }
-  if (consumed != text.size()) {
-    throw ConfigError("flag --" + name + " expects an integer, got '" + text + "'");
-  }
-  return value;
+  return static_cast<int>(*value);
 }
 
 int ParsedArgs::flag_int_at_least(const std::string& name, int fallback,
@@ -52,19 +47,12 @@ int ParsedArgs::flag_int_at_least(const std::string& name, int fallback,
 double ParsedArgs::flag_double(const std::string& name, double fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  const std::string& text = it->second;
-  std::size_t consumed = 0;
-  double value = 0.0;
-  try {
-    value = std::stod(text, &consumed);
-  } catch (const std::exception&) {
-    throw ConfigError("flag --" + name + " expects a number, got '" + text + "'");
-  }
-  if (consumed != text.size() || !std::isfinite(value) || value < 0.0) {
+  const std::optional<double> value = try_parse_double(it->second);
+  if (!value || *value < 0.0) {
     throw ConfigError("flag --" + name + " expects a finite non-negative number, got '" +
-                      text + "'");
+                      it->second + "'");
   }
-  return value;
+  return *value;
 }
 
 const std::string& ParsedArgs::require(const std::string& name) const {
@@ -81,20 +69,11 @@ void ParsedArgs::set(const std::string& name, std::string value) {
 
 namespace {
 
-/// Resolve a spelled flag against the command + global tables; returns the
-/// matching spec and notes whether the deprecated alias was used.
-const FlagSpec* find_flag(const CommandSpec& spec, const std::string& key,
-                          bool* via_alias) {
+/// Resolve a spelled flag against the command + global tables.
+const FlagSpec* find_flag(const CommandSpec& spec, const std::string& key) {
   for (const std::vector<FlagSpec>* table : {&spec.flags, &global_flags()}) {
     for (const FlagSpec& f : *table) {
-      if (f.name == key) {
-        *via_alias = false;
-        return &f;
-      }
-      if (!f.alias.empty() && f.alias == key) {
-        *via_alias = true;
-        return &f;
-      }
+      if (f.name == key) return &f;
     }
   }
   return nullptr;
@@ -115,14 +94,10 @@ ParsedArgs parse_command_line(const CommandSpec& spec, int argc, char** argv,
       continue;
     }
     const std::string key = a.substr(2);
-    bool via_alias = false;
-    const FlagSpec* flag = find_flag(spec, key, &via_alias);
+    const FlagSpec* flag = find_flag(spec, key);
     if (flag == nullptr) {
       throw ConfigError(spec.name + ": unknown flag --" + key +
                         " (see 'irf_cli " + spec.name + " --help')");
-    }
-    if (via_alias) {
-      args.note_deprecation("--" + key + " is deprecated; use --" + flag->name);
     }
     if (flag->value_name.empty()) {
       args.set(flag->name, "1");
@@ -158,9 +133,7 @@ std::string help_text(const CommandSpec& spec) {
       if (!f.value_name.empty()) left += " " + f.value_name;
       out << left;
       for (std::size_t pad = left.size(); pad < 30; ++pad) out << ' ';
-      out << f.help;
-      if (!f.alias.empty()) out << " (deprecated alias: --" << f.alias << ")";
-      out << "\n";
+      out << f.help << "\n";
     }
   };
   if (!spec.flags.empty()) {

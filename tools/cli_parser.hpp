@@ -5,8 +5,7 @@
 /// Each command declares one CommandSpec table; the parser enforces it
 /// (unknown flags are errors, values are validated centrally) and the
 /// --help text is generated from the same table, so flags, validation and
-/// documentation cannot drift apart. Canonical flag names are kebab-case;
-/// pre-redesign spellings stay usable as deprecated aliases.
+/// documentation cannot drift apart. Flag names are kebab-case.
 
 #include <map>
 #include <string>
@@ -15,8 +14,7 @@
 namespace irf::cli {
 
 struct FlagSpec {
-  std::string name;        ///< canonical kebab-case name (no leading --)
-  std::string alias;       ///< deprecated old spelling; "" = none
+  std::string name;        ///< kebab-case name (no leading --)
   std::string value_name;  ///< metavar shown in help; "" = boolean flag
   std::string help;        ///< one-line description
 };
@@ -31,8 +29,7 @@ struct CommandSpec {
 /// Flags every subcommand accepts (telemetry outputs, --help).
 const std::vector<FlagSpec>& global_flags();
 
-/// Parse result. Lookup is always by canonical name; values given via a
-/// deprecated alias land under the canonical key.
+/// Parse result, looked up by flag name.
 class ParsedArgs {
  public:
   std::vector<std::string> positional;
@@ -40,27 +37,22 @@ class ParsedArgs {
   bool has(const std::string& name) const { return values_.count(name) > 0; }
   std::string flag(const std::string& name, const std::string& fallback = "") const;
 
-  /// Integer flag with a usage-style error on non-numeric or out-of-range
-  /// values (std::stoi alone would escape as an uncaught exception).
+  /// Integer flag (try_parse_int64, then an int range check) with a
+  /// usage-style error on non-numeric or out-of-range values.
   int flag_int(const std::string& name, int fallback) const;
   /// flag_int plus a lower bound (e.g. --pixels must be positive).
   int flag_int_at_least(const std::string& name, int fallback, int min_value) const;
-  /// Finite, non-negative floating-point flag.
+  /// Finite, non-negative decimal flag (try_parse_double: no hex, no
+  /// surrounding blanks).
   double flag_double(const std::string& name, double fallback) const;
 
   /// Require a value-carrying flag to be present.
   const std::string& require(const std::string& name) const;
 
-  /// Deprecation notes collected during parsing ("--px is deprecated; use
-  /// --pixels"), for the caller to log.
-  const std::vector<std::string>& deprecations() const { return deprecations_; }
-
   void set(const std::string& name, std::string value);
-  void note_deprecation(std::string note) { deprecations_.push_back(std::move(note)); }
 
  private:
   std::map<std::string, std::string> values_;
-  std::vector<std::string> deprecations_;
 };
 
 /// Parse argv[first..) against `spec` (+ global flags). Throws

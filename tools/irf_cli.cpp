@@ -12,12 +12,11 @@
 //   json-check   validate a JSON artifact (CI helper)
 //   prom-check   validate a Prometheus text-format artifact (CI helper)
 //
-// Flags are kebab-case; pre-redesign spellings (--px, --iters, --fake,
-// --real, train --out, analyze --model) remain as deprecated aliases.
-// Every subcommand also accepts the global telemetry flags --trace-out /
-// --metrics-out / --prom-out and honors IRF_TRACE / IRF_METRICS /
-// IRF_LOG_LEVEL / IRF_RESIDUAL_CURVES (docs/OBSERVABILITY.md). The library
-// surface used here is the public facade, src/irf.hpp (docs/API.md).
+// Flags are kebab-case. Every subcommand also accepts the global telemetry
+// flags --trace-out / --metrics-out / --prom-out and honors IRF_TRACE /
+// IRF_METRICS / IRF_LOG_LEVEL / IRF_RESIDUAL_CURVES (docs/OBSERVABILITY.md).
+// The library surface used here is the public facade, src/irf.hpp
+// (docs/API.md).
 
 #include <algorithm>
 #include <atomic>
@@ -52,11 +51,11 @@ const cli::CommandSpec kGenerateSpec = {
     "",
     "Generate a synthetic design set, golden-solve it, and export it.",
     {
-        {"out", "", "DIR", "output directory (required)"},
-        {"fake-designs", "fake", "N", "number of fake (easy) designs"},
-        {"real-designs", "real", "M", "number of realistic (hard) designs"},
-        {"pixels", "px", "P", "map resolution in pixels"},
-        {"seed", "", "S", "generator seed"},
+        {"out", "DIR", "output directory (required)"},
+        {"fake-designs", "N", "number of fake (easy) designs"},
+        {"real-designs", "M", "number of realistic (hard) designs"},
+        {"pixels", "P", "map resolution in pixels"},
+        {"seed", "S", "generator seed"},
     }};
 
 const cli::CommandSpec kSolveSpec = {
@@ -64,10 +63,10 @@ const cli::CommandSpec kSolveSpec = {
     "NETLIST.sp",
     "Parse a SPICE PG deck and solve it with AMG-PCG.",
     {
-        {"rough-iters", "iters", "K",
+        {"rough-iters", "K",
          "run exactly K rough iterations (default: golden solve to 1e-10)"},
-        {"pixels", "px", "P", "resolution of the rasterized IR map"},
-        {"out", "", "MAP.csv", "write the bottom-layer IR map as CSV"},
+        {"pixels", "P", "resolution of the rasterized IR map"},
+        {"out", "MAP.csv", "write the bottom-layer IR map as CSV"},
     }};
 
 const cli::CommandSpec kTrainSpec = {
@@ -75,12 +74,12 @@ const cli::CommandSpec kTrainSpec = {
     "",
     "Fit the IR-Fusion pipeline on a design directory and save a checkpoint.",
     {
-        {"designs", "", "DIR", "directory of <design>/netlist.sp decks (required)"},
-        {"save-model", "out", "MODEL.irf", "checkpoint output path (required)"},
-        {"epochs", "", "E", "training epochs"},
-        {"pixels", "px", "P", "training image size"},
-        {"rough-iters", "iters", "K", "AMG-PCG iterations for rough solutions"},
-        {"seed", "", "S", "training seed"},
+        {"designs", "DIR", "directory of <design>/netlist.sp decks (required)"},
+        {"save-model", "MODEL.irf", "checkpoint output path (required)"},
+        {"epochs", "E", "training epochs"},
+        {"pixels", "P", "training image size"},
+        {"rough-iters", "K", "AMG-PCG iterations for rough solutions"},
+        {"seed", "S", "training seed"},
     }};
 
 const cli::CommandSpec kAnalyzeSpec = {
@@ -88,8 +87,8 @@ const cli::CommandSpec kAnalyzeSpec = {
     "NETLIST.sp",
     "Restore a trained pipeline and run end-to-end analysis on one deck.",
     {
-        {"load-model", "model", "MODEL.irf", "checkpoint to load (required)"},
-        {"out", "", "MAP.csv", "write the predicted IR map as CSV"},
+        {"load-model", "MODEL.irf", "checkpoint to load (required)"},
+        {"out", "MAP.csv", "write the predicted IR map as CSV"},
     }};
 
 const cli::CommandSpec kServeBatchSpec = {
@@ -97,18 +96,18 @@ const cli::CommandSpec kServeBatchSpec = {
     "",
     "Serve a design set through the persistent engine (cached, batched).",
     {
-        {"load-model", "", "MODEL.irf",
+        {"load-model", "MODEL.irf",
          "checkpoint to serve; missing file or omitted flag degrades to the "
          "rough numerical map"},
-        {"designs", "", "DIR", "directory of <design>/netlist.sp decks (required)"},
-        {"out-dir", "", "DIR", "write one <design>.csv per served map"},
-        {"batch", "", "N", "max requests fused into one model forward"},
-        {"repeat", "", "R", "serve the design list R times (cache warm-up demo)"},
-        {"timeout-seconds", "", "T", "per-request deadline (0 = none)"},
-        {"cache-mb", "", "MB", "per-design cache budget"},
-        {"prom-every-seconds", "", "T",
+        {"designs", "DIR", "directory of <design>/netlist.sp decks (required)"},
+        {"out-dir", "DIR", "write one <design>.csv per served map"},
+        {"batch", "N", "max requests fused into one model forward"},
+        {"repeat", "R", "serve the design list R times (cache warm-up demo)"},
+        {"timeout-seconds", "T", "per-request deadline (0 = none)"},
+        {"cache-mb", "MB", "per-design cache budget"},
+        {"prom-every-seconds", "T",
          "rewrite --prom-out every T seconds while serving (0 = only at exit)"},
-        {"flight-out", "", "FILE.json",
+        {"flight-out", "FILE.json",
          "flight-recorder dump path: auto-dumped on degradation/deadline "
          "miss/warm fallback, and written once more when serving finishes"},
     }};
@@ -118,21 +117,21 @@ const cli::CommandSpec kServeLoadSpec = {
     "",
     "Drive open-loop Poisson load through the sharded serving router.",
     {
-        {"load-model", "", "MODEL.irf",
+        {"load-model", "MODEL.irf",
          "checkpoint to serve; missing file or omitted flag degrades to the "
          "rough numerical map"},
-        {"designs", "", "DIR", "directory of <design>/netlist.sp decks (required)"},
-        {"shards", "", "N", "engine shards behind the router"},
-        {"rate", "", "RPS",
+        {"designs", "DIR", "directory of <design>/netlist.sp decks (required)"},
+        {"shards", "N", "engine shards behind the router"},
+        {"rate", "RPS",
          "offered Poisson arrival rate in requests/second (0 = closed loop, "
          "submit as fast as backpressure allows)"},
-        {"requests", "", "K", "total requests to submit"},
-        {"batch", "", "N", "max requests fused into one model forward"},
-        {"cache-mb", "", "MB", "per-shard per-design cache budget"},
-        {"timeout-seconds", "", "T", "per-request deadline (0 = none)"},
-        {"interactive-pct", "", "P", "percent of requests tagged kInteractive"},
-        {"batch-pct", "", "P", "percent of requests tagged kBatch (shed first)"},
-        {"seed", "", "S", "arrival-schedule seed"},
+        {"requests", "K", "total requests to submit"},
+        {"batch", "N", "max requests fused into one model forward"},
+        {"cache-mb", "MB", "per-shard per-design cache budget"},
+        {"timeout-seconds", "T", "per-request deadline (0 = none)"},
+        {"interactive-pct", "P", "percent of requests tagged kInteractive"},
+        {"batch-pct", "P", "percent of requests tagged kBatch (shed first)"},
+        {"seed", "S", "arrival-schedule seed"},
     }};
 
 const cli::CommandSpec kJsonCheckSpec = {
@@ -590,9 +589,6 @@ int main(int argc, char** argv) {
       return 0;
     }
     begin_telemetry(args);
-    for (const std::string& note : args.deprecations()) {
-      obs::verbose() << "irf_cli: " << note;
-    }
     int rc = 2;
     if (spec == &kGenerateSpec) rc = cmd_generate(args);
     else if (spec == &kSolveSpec) rc = cmd_solve(args);
