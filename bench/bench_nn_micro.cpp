@@ -1,5 +1,7 @@
 // Micro-benchmarks of the NN substrate (google-benchmark): conv2d forward
-// and backward, the attention blocks, and one full IR-Fusion model forward.
+// and backward, the attention blocks, and full IR-Fusion model forwards at
+// batch 1 and 8. The model forwards record the per-block span timers
+// (model_stem, ..., model_head) into BENCH_bench_nn_micro.json.
 
 #include <benchmark/benchmark.h>
 
@@ -72,17 +74,23 @@ void BM_InceptionForward(benchmark::State& state) {
 }
 BENCHMARK(BM_InceptionForward);
 
+/// One eval-mode IR-Fusion forward as inference runs it (no tape). Args:
+/// base channels, batch size; items are samples, so items/s compares
+/// batch sizes per sample.
 void BM_IrFusionModelForward(benchmark::State& state) {
   Rng rng(11);
   auto model = models::make_ir_fusion_net(21, static_cast<int>(state.range(0)), rng);
   model->set_training(false);
-  Tensor x = random_tensor({1, 21, 48, 48});
+  const int batch = static_cast<int>(state.range(1));
+  Tensor x = random_tensor({batch, 21, 48, 48});
+  const nn::NoGradGuard no_grad;
   for (auto _ : state) {
     Tensor y = model->forward(x);
     benchmark::DoNotOptimize(y.data().data());
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * batch);
 }
-BENCHMARK(BM_IrFusionModelForward)->Arg(4)->Arg(8);
+BENCHMARK(BM_IrFusionModelForward)->Args({4, 1})->Args({8, 1})->Args({8, 8});
 
 }  // namespace
 

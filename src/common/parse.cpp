@@ -1,5 +1,6 @@
 #include "common/parse.hpp"
 
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -47,7 +48,10 @@ std::optional<double> try_parse_double(std::string_view text) {
 }
 
 std::optional<std::int64_t> try_parse_int64(std::string_view text) {
-  if (text.empty()) return std::nullopt;
+  // strtoll skips leading blanks; a full-string parse must not.
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text.front()))) {
+    return std::nullopt;
+  }
   const std::string buf(text);
   errno = 0;
   char* end = nullptr;
@@ -57,10 +61,13 @@ std::optional<std::int64_t> try_parse_int64(std::string_view text) {
 }
 
 std::optional<std::uint64_t> try_parse_uint64(std::string_view text) {
-  if (text.empty()) return std::nullopt;
   // strtoull silently negates "-5" into 18446744073709551611; reject any
-  // sign-bearing input before it gets the chance.
-  if (text.front() == '-') return std::nullopt;
+  // sign-bearing input before it gets the chance, and any leading blank,
+  // which strtoull would skip to reach a sign behind it (" -5").
+  if (text.empty() || text.front() == '-' ||
+      std::isspace(static_cast<unsigned char>(text.front()))) {
+    return std::nullopt;
+  }
   const std::string buf(text);
   errno = 0;
   char* end = nullptr;

@@ -27,12 +27,12 @@ std::optional<double> try_parse_double(std::string_view text);
 std::optional<double> try_parse_double_prefix(std::string_view text,
                                               std::size_t* consumed);
 
-/// Full-string signed integer parse; nullopt on garbage/trailing junk or
-/// values outside int64.
+/// Full-string signed integer parse; nullopt on a leading blank,
+/// garbage/trailing junk or values outside int64.
 std::optional<std::int64_t> try_parse_int64(std::string_view text);
 
 /// Full-string unsigned parse. Unlike std::stoull this REJECTS a leading
-/// '-' instead of wrapping it around.
+/// '-' instead of wrapping it around, and a leading blank.
 std::optional<std::uint64_t> try_parse_uint64(std::string_view text);
 
 }  // namespace irf

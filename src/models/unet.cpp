@@ -2,6 +2,7 @@
 
 #include "common/error.hpp"
 #include "nn/ops.hpp"
+#include "obs/trace.hpp"
 
 namespace irf::models {
 
@@ -73,10 +74,19 @@ Tensor UNet::forward(const Tensor& x) {
                          s.str());
   }
 
+  // One span per block, so a trace splits the forward by block. Stage spans
+  // carry the depth of their output (0 = full resolution, 3 = deepest).
+
   // Encoder.
   Tensor skips[3];
-  Tensor t = stem_->forward(x);
+  Tensor t;
+  {
+    obs::ScopedSpan span("model_stem", "models");
+    t = stem_->forward(x);
+  }
   for (int i = 0; i < 3; ++i) {
+    obs::ScopedSpan span("model_encoder", "models");
+    span.add_arg("depth", i + 1);
     skips[i] = t;
     t = nn::maxpool2d(t, 2);
     t = config_.inception_encoder ? enc_inception_[i]->forward(t)
@@ -85,12 +95,29 @@ Tensor UNet::forward(const Tensor& x) {
 
   // Decoder (deepest stage first).
   for (int i = 2; i >= 0; --i) {
-    t = up_proj_[i]->forward(nn::upsample_nearest2x(t));
+    {
+      obs::ScopedSpan span("model_up_proj", "models");
+      span.add_arg("depth", i);
+      t = up_proj_[i]->forward(nn::upsample_nearest2x(t));
+    }
     Tensor skip = skips[i];
-    if (gates_[i]) skip = gates_[i]->forward(t, skip);
-    t = dec_[i]->forward(nn::concat_channels({t, skip}));
-    if (cbams_[i]) t = cbams_[i]->forward(t);
+    if (gates_[i]) {
+      obs::ScopedSpan span("model_gate", "models");
+      span.add_arg("depth", i);
+      skip = gates_[i]->forward(t, skip);
+    }
+    {
+      obs::ScopedSpan span("model_decoder", "models");
+      span.add_arg("depth", i);
+      t = dec_[i]->forward(nn::concat_channels({t, skip}));
+    }
+    if (cbams_[i]) {
+      obs::ScopedSpan span("model_cbam", "models");
+      span.add_arg("depth", i);
+      t = cbams_[i]->forward(t);
+    }
   }
+  obs::ScopedSpan span("model_head", "models");
   return head_->forward(t);  // regression-like layer: linear 1x1
 }
 

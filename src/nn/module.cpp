@@ -123,8 +123,10 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
   }
 
   std::vector<float> out(x.data().size());
-  // Cache normalized activations for the backward pass.
-  auto xhat = std::make_shared<std::vector<float>>(x.data().size());
+  // Cache normalized activations for the backward pass, which a no-grad
+  // forward never has.
+  auto xhat = grad_enabled() ? std::make_shared<std::vector<float>>(x.data().size())
+                             : nullptr;
   for (int n = 0; n < xs.n; ++n) {
     for (int c = 0; c < xs.c; ++c) {
       const float g = gamma_.data()[static_cast<std::size_t>(c)];
@@ -132,7 +134,7 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
       const std::size_t base = (static_cast<std::size_t>(n) * xs.c + c) * plane;
       for (std::size_t i = 0; i < plane; ++i) {
         const float h = (x.data()[base + i] - mean[c]) * inv_std[c];
-        (*xhat)[base + i] = h;
+        if (xhat) (*xhat)[base + i] = h;
         out[base + i] = g * h + b;
       }
     }

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <utility>
 
 #include "common/error.hpp"
+#include "obs/metrics.hpp"
 #include "par/par.hpp"
 
 namespace irf::nn {
@@ -84,10 +87,11 @@ Tensor sigmoid(const Tensor& a) {
 
 namespace {
 
-/// Geometry of one conv2d call, shared by forward and backward.
+/// Geometry of one conv2d call, shared by forward and backward. Every conv
+/// is stride 1 with "same" padding, so the output plane is the input plane.
 struct ConvGeom {
   Shape xs, ws, os;
-  int stride, pad_h, pad_w;
+  int pad_h, pad_w;
   int patch;  ///< Cin * kh * kw (the im2col row count)
 };
 
@@ -95,34 +99,48 @@ struct ConvGeom {
 /// loop itself; such calls run inline (the grain covers the whole range).
 constexpr std::int64_t kParThreshold = 1 << 20;
 
-/// Grain selector: chunked (grain 1) for big work, inline otherwise.
-std::int64_t conv_grain(std::int64_t range, std::int64_t work) {
-  return work >= kParThreshold ? 1 : range;
+/// Grain selector: `chunk` items per chunk for big work, inline otherwise.
+std::int64_t conv_grain(std::int64_t range, std::int64_t work, std::int64_t chunk = 1) {
+  return work >= kParThreshold ? chunk : range;
 }
 
-/// im2col: expand one sample's receptive fields into a [patch, oh*ow] matrix.
-/// Parallel over input channels: channel ci owns rows [ci*kh*kw, (ci+1)*kh*kw)
-/// of the col matrix, so chunks write disjoint memory.
+/// Output columns [lo, hi) of a row whose tap kx reads input column
+/// xo + kx - pad in bounds; the columns outside read the zero padding.
+std::pair<int, int> in_bounds(int kx, int pad, int width) {
+  const int lo = std::min(width, std::max(0, pad - kx));
+  const int hi = std::max(lo, std::min(width, width + pad - kx));
+  return {lo, hi};
+}
+
+/// im2col: expand one sample's receptive fields into a [patch, h*w] matrix.
+/// Each (ci, ky, kx, y) row zero-fills its padded ends and copies the
+/// in-bounds span. Parallel over input channels: channel ci owns rows
+/// [ci*kh*kw, (ci+1)*kh*kw) of the col matrix, so chunks write disjoint memory.
 void im2col(const float* x, const ConvGeom& g, int n, float* col) {
-  const int plane = g.os.h * g.os.w;
+  const int h = g.xs.h;
+  const int w = g.xs.w;
+  const std::size_t plane = static_cast<std::size_t>(h) * w;
   par::parallel_for(
       0, g.xs.c, conv_grain(g.xs.c, static_cast<std::int64_t>(g.patch) * plane),
       [&](std::int64_t clo, std::int64_t chi) {
   for (int ci = static_cast<int>(clo); ci < chi; ++ci) {
+    const float* xc = x + offset(g.xs, n, ci, 0, 0);
     for (int ky = 0; ky < g.ws.h; ++ky) {
       for (int kx = 0; kx < g.ws.w; ++kx) {
-        float* row = col + ((ci * g.ws.h + ky) * g.ws.w + kx) * static_cast<std::size_t>(plane);
-        for (int y = 0; y < g.os.h; ++y) {
-          const int iy = y * g.stride - g.pad_h + ky;
-          if (iy < 0 || iy >= g.xs.h) {
-            std::fill(row + y * g.os.w, row + (y + 1) * g.os.w, 0.0f);
+        float* row = col + ((ci * g.ws.h + ky) * g.ws.w + kx) * plane;
+        const auto [lo, hi] = in_bounds(kx, g.pad_w, w);
+        const int shift = kx - g.pad_w;
+        for (int y = 0; y < h; ++y) {
+          float* out = row + static_cast<std::size_t>(y) * w;
+          const int iy = y + ky - g.pad_h;
+          if (iy < 0 || iy >= h || lo == hi) {
+            std::fill(out, out + w, 0.0f);
             continue;
           }
-          const float* xrow = x + offset(g.xs, n, ci, iy, 0);
-          for (int xo = 0; xo < g.os.w; ++xo) {
-            const int ix = xo * g.stride - g.pad_w + kx;
-            row[y * g.os.w + xo] = (ix >= 0 && ix < g.xs.w) ? xrow[ix] : 0.0f;
-          }
+          const float* xrow = xc + static_cast<std::size_t>(iy) * w;
+          std::fill(out, out + lo, 0.0f);
+          std::copy(xrow + (lo + shift), xrow + (hi + shift), out + lo);
+          std::fill(out + hi, out + w, 0.0f);
         }
       }
     }
@@ -130,27 +148,39 @@ void im2col(const float* x, const ConvGeom& g, int n, float* col) {
       });
 }
 
-/// col2im: scatter-add a [patch, oh*ow] gradient matrix back into x-grad.
+/// The B matrix of sample n's GEMM: a 1x1 conv reads x's [Cin, plane] slice
+/// as it is; any other kernel is expanded into `scratch` first.
+const float* conv_columns(const float* x, const ConvGeom& g, int n,
+                          std::vector<float>& scratch) {
+  if (g.ws.h == 1 && g.ws.w == 1) return x + offset(g.xs, n, 0, 0, 0);
+  scratch.resize(static_cast<std::size_t>(g.patch) * g.os.h * g.os.w);
+  im2col(x, g, n, scratch.data());
+  return scratch.data();
+}
+
+/// col2im: scatter-add a [patch, h*w] gradient matrix back into x-grad.
 /// Parallel over input channels: channel ci only touches x-grad plane ci,
 /// so the overlapping (ky, kx) scatter windows stay within one chunk.
 void col2im_add(const float* col, const ConvGeom& g, int n, float* xg) {
-  const int plane = g.os.h * g.os.w;
+  const int h = g.xs.h;
+  const int w = g.xs.w;
+  const std::size_t plane = static_cast<std::size_t>(h) * w;
   par::parallel_for(
       0, g.xs.c, conv_grain(g.xs.c, static_cast<std::int64_t>(g.patch) * plane),
       [&](std::int64_t clo, std::int64_t chi) {
   for (int ci = static_cast<int>(clo); ci < chi; ++ci) {
+    float* xc = xg + offset(g.xs, n, ci, 0, 0);
     for (int ky = 0; ky < g.ws.h; ++ky) {
       for (int kx = 0; kx < g.ws.w; ++kx) {
-        const float* row =
-            col + ((ci * g.ws.h + ky) * g.ws.w + kx) * static_cast<std::size_t>(plane);
-        for (int y = 0; y < g.os.h; ++y) {
-          const int iy = y * g.stride - g.pad_h + ky;
-          if (iy < 0 || iy >= g.xs.h) continue;
-          float* xrow = xg + offset(g.xs, n, ci, iy, 0);
-          for (int xo = 0; xo < g.os.w; ++xo) {
-            const int ix = xo * g.stride - g.pad_w + kx;
-            if (ix >= 0 && ix < g.xs.w) xrow[ix] += row[y * g.os.w + xo];
-          }
+        const float* row = col + ((ci * g.ws.h + ky) * g.ws.w + kx) * plane;
+        const auto [lo, hi] = in_bounds(kx, g.pad_w, w);
+        const int shift = kx - g.pad_w;
+        for (int y = 0; y < h; ++y) {
+          const int iy = y + ky - g.pad_h;
+          if (iy < 0 || iy >= h) continue;
+          const float* in = row + static_cast<std::size_t>(y) * w;
+          float* xrow = xc + static_cast<std::size_t>(iy) * w;
+          for (int xo = lo; xo < hi; ++xo) xrow[xo + shift] += in[xo];
         }
       }
     }
@@ -158,41 +188,132 @@ void col2im_add(const float* col, const ConvGeom& g, int n, float* xg) {
       });
 }
 
-// Cache blocking for the GEMM kernels: the inner j loop streams a B panel
-// that fits in L1/L2 while A values stay in registers. Within every block
-// the k index (p) still ascends, so each C element accumulates its products
-// in exactly the old ikj order — blocking changes locality, not bits.
-constexpr int kBlockN = 256;  ///< columns of B per panel
-constexpr int kBlockK = 128;  ///< rows of B per panel
+// The forward GEMM kernel. B is packed one 8-column strip at a time into a
+// [k, 8] panel; each 4-row tile of C then keeps its 4 x 8 outputs in eight
+// 4-lane registers over all of k. Every C element still sums its products
+// c += a[p] * b[p] one at a time in ascending p, a separate multiply and
+// add each (the -O2 build targets baseline x86-64: SSE2 mulps/addps, no
+// FMA to contract into), so the register tile only changes which elements
+// are in flight, not the bits of any of them.
+using Vec4 = float __attribute__((vector_size(16)));
 
-/// Rows [i0, i1) of C[m,n] += A[m,k] * B[k,n], row-major, blocked.
-void gemm_rows(const float* a, const float* b, float* c, std::int64_t i0,
-               std::int64_t i1, int k, int n) {
-  for (int pc = 0; pc < k; pc += kBlockK) {
-    const int pe = std::min(k, pc + kBlockK);
-    for (int jc = 0; jc < n; jc += kBlockN) {
-      const int je = std::min(n, jc + kBlockN);
-      for (std::int64_t i = i0; i < i1; ++i) {
-        const float* arow = a + static_cast<std::size_t>(i) * k;
-        float* crow = c + static_cast<std::size_t>(i) * n;
-        for (int p = pc; p < pe; ++p) {
-          const float av = arow[p];
-          if (av == 0.0f) continue;
-          const float* brow = b + static_cast<std::size_t>(p) * n;
-          for (int j = jc; j < je; ++j) crow[j] += av * brow[j];
-        }
-      }
+constexpr int kTileRows = 4;          ///< rows of C per register tile
+constexpr int kStripCols = 8;         ///< columns of C per packed B strip
+constexpr std::int64_t kStripsPerChunk = 16;  ///< pool grain, in strips
+
+Vec4 load4(const float* p) {
+  Vec4 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void store4(float* p, Vec4 v) { std::memcpy(p, &v, sizeof v); }
+
+/// C[4, 8] += A[4, k] * panel[k, 8] for a full tile (lda = k, ldc = n).
+void tile_4x8(const float* a, int k, const float* panel, float* c, int n) {
+  const float* a0 = a;
+  const float* a1 = a0 + k;
+  const float* a2 = a1 + k;
+  const float* a3 = a2 + k;
+  float* c0 = c;
+  float* c1 = c0 + n;
+  float* c2 = c1 + n;
+  float* c3 = c2 + n;
+  Vec4 c00 = load4(c0), c01 = load4(c0 + 4);
+  Vec4 c10 = load4(c1), c11 = load4(c1 + 4);
+  Vec4 c20 = load4(c2), c21 = load4(c2 + 4);
+  Vec4 c30 = load4(c3), c31 = load4(c3 + 4);
+  for (int p = 0; p < k; ++p) {
+    const Vec4 b0 = load4(panel + static_cast<std::size_t>(p) * kStripCols);
+    const Vec4 b1 = load4(panel + static_cast<std::size_t>(p) * kStripCols + 4);
+    c00 += a0[p] * b0;
+    c01 += a0[p] * b1;
+    c10 += a1[p] * b0;
+    c11 += a1[p] * b1;
+    c20 += a2[p] * b0;
+    c21 += a2[p] * b1;
+    c30 += a3[p] * b0;
+    c31 += a3[p] * b1;
+  }
+  store4(c0, c00);
+  store4(c0 + 4, c01);
+  store4(c1, c10);
+  store4(c1 + 4, c11);
+  store4(c2, c20);
+  store4(c2 + 4, c21);
+  store4(c3, c30);
+  store4(c3 + 4, c31);
+}
+
+/// C[1, 8] += A[1, k] * panel[k, 8] for a row left over below the last full
+/// tile. The model's 1-output convs (CBAM's 7x7 spatial attention, the gate
+/// projections, the head) are all such rows.
+void tile_1x8(const float* a, int k, const float* panel, float* c) {
+  Vec4 c0 = load4(c), c1 = load4(c + 4);
+  for (int p = 0; p < k; ++p) {
+    c0 += a[p] * load4(panel + static_cast<std::size_t>(p) * kStripCols);
+    c1 += a[p] * load4(panel + static_cast<std::size_t>(p) * kStripCols + 4);
+  }
+  store4(c, c0);
+  store4(c + 4, c1);
+}
+
+/// The same sums for a strip narrower than 8 columns (the last one when n is
+/// not a multiple of 8): one scalar accumulator per output, in ascending p.
+void tile_scalar(const float* a, int k, const float* panel, float* c, int n, int rows,
+                 int cols) {
+  float acc[kTileRows][kStripCols];
+  for (int r = 0; r < rows; ++r) {
+    for (int j = 0; j < cols; ++j) acc[r][j] = c[static_cast<std::size_t>(r) * n + j];
+  }
+  for (int p = 0; p < k; ++p) {
+    const float* b = panel + static_cast<std::size_t>(p) * kStripCols;
+    for (int r = 0; r < rows; ++r) {
+      const float av = a[static_cast<std::size_t>(r) * k + p];
+      for (int j = 0; j < cols; ++j) acc[r][j] += av * b[j];
     }
+  }
+  for (int r = 0; r < rows; ++r) {
+    for (int j = 0; j < cols; ++j) c[static_cast<std::size_t>(r) * n + j] = acc[r][j];
   }
 }
 
-/// C[m,n] += A[m,k] * B[k,n]. Rows of C are independent, so the pool splits
-/// the i range; each chunk runs the blocked kernel over its rows.
+/// C[m,n] += A[m,k] * B[k,n], row-major. Column strips are independent, so
+/// the pool splits the strip range; each chunk packs one strip at a time and
+/// sweeps every row tile of C over it.
 void gemm_accumulate(const float* a, const float* b, float* c, int m, int k, int n) {
+  const std::int64_t strips = (n + kStripCols - 1) / kStripCols;
   const std::int64_t work = 2ll * m * k * n;
-  par::parallel_for(0, m, conv_grain(m, work), [&](std::int64_t lo, std::int64_t hi) {
-    gemm_rows(a, b, c, lo, hi, k, n);
-  });
+  par::parallel_for(
+      0, strips, conv_grain(strips, work, kStripsPerChunk),
+      [&](std::int64_t lo, std::int64_t hi) {
+        std::vector<float> panel(static_cast<std::size_t>(k) * kStripCols);
+        for (std::int64_t s = lo; s < hi; ++s) {
+          const int j0 = static_cast<int>(s) * kStripCols;
+          const int cols = std::min(kStripCols, n - j0);
+          for (int p = 0; p < k; ++p) {
+            const float* brow = b + static_cast<std::size_t>(p) * n + j0;
+            std::copy(brow, brow + cols,
+                      panel.data() + static_cast<std::size_t>(p) * kStripCols);
+          }
+          const auto a_row = [&](int i) { return a + static_cast<std::size_t>(i) * k; };
+          const auto c_row = [&](int i) {
+            return c + static_cast<std::size_t>(i) * n + j0;
+          };
+          if (cols < kStripCols) {
+            for (int i = 0; i < m; i += kTileRows) {
+              tile_scalar(a_row(i), k, panel.data(), c_row(i), n,
+                          std::min(kTileRows, m - i), cols);
+            }
+            continue;
+          }
+          int i = 0;
+          for (; i + kTileRows <= m; i += kTileRows) {
+            tile_4x8(a_row(i), k, panel.data(), c_row(i), n);
+          }
+          for (; i < m; ++i) tile_1x8(a_row(i), k, panel.data(), c_row(i));
+        }
+      });
 }
 
 /// C[m,n] += A^T[m,k] * B[k,n] where A is stored [k,m]. Output row i reads
@@ -235,32 +356,15 @@ void gemm_b_ct_accumulate(const float* dy, const float* col, float* dw, int cout
 
 }  // namespace
 
-Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias, int stride,
-              int pad_h, int pad_w) {
+Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias) {
   const Shape& xs = x.shape();
   const Shape& ws = weight.shape();
   if (ws.c != xs.c) {
     throw DimensionError("conv2d: weight expects " + std::to_string(ws.c) +
                          " input channels, x has " + std::to_string(xs.c));
   }
-  if (stride < 1) throw ConfigError("conv2d: stride must be >= 1");
-  if (pad_h < 0) {
-    if (stride != 1 || ws.h % 2 == 0) {
-      throw ConfigError("conv2d: 'same' padding needs stride 1 and odd kernel height");
-    }
-    pad_h = (ws.h - 1) / 2;
-  }
-  if (pad_w < 0) {
-    if (stride != 1 || ws.w % 2 == 0) {
-      throw ConfigError("conv2d: 'same' padding needs stride 1 and odd kernel width");
-    }
-    pad_w = (ws.w - 1) / 2;
-  }
-  const int oh = (xs.h + 2 * pad_h - ws.h) / stride + 1;
-  const int ow = (xs.w + 2 * pad_w - ws.w) / stride + 1;
-  if (oh <= 0 || ow <= 0) {
-    throw DimensionError("conv2d: output would be empty for input " + xs.str() +
-                         " kernel " + ws.str());
+  if (ws.h % 2 == 0 || ws.w % 2 == 0) {
+    throw ConfigError("conv2d: 'same' padding needs an odd kernel, got " + ws.str());
   }
   const bool has_bias = bias.defined();
   if (has_bias) {
@@ -270,16 +374,17 @@ Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias, int str
     }
   }
 
-  ConvGeom geom{xs, ws, Shape{xs.n, ws.n, oh, ow}, stride, pad_h, pad_w,
-                xs.c * ws.h * ws.w};
+  const ConvGeom geom{xs, ws, Shape{xs.n, ws.n, xs.h, xs.w}, (ws.h - 1) / 2,
+                      (ws.w - 1) / 2, xs.c * ws.h * ws.w};
   const Shape os = geom.os;
-  const int plane = oh * ow;
+  const int plane = os.h * os.w;
+  obs::count("nn.conv_macs", static_cast<std::uint64_t>(os.numel()) * geom.patch);
   std::vector<float> out(static_cast<std::size_t>(os.numel()), 0.0f);
-  std::vector<float> col(static_cast<std::size_t>(geom.patch) * plane);
+  std::vector<float> scratch;
 
   // Forward: per sample, y[Cout, plane] = W[Cout, patch] x col[patch, plane].
   for (int n = 0; n < xs.n; ++n) {
-    im2col(x.data().data(), geom, n, col.data());
+    const float* col = conv_columns(x.data().data(), geom, n, scratch);
     float* y = out.data() + offset(os, n, 0, 0, 0);
     if (has_bias) {
       for (int co = 0; co < ws.n; ++co) {
@@ -288,7 +393,7 @@ Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias, int str
                   bias.data()[static_cast<std::size_t>(co)]);
       }
     }
-    gemm_accumulate(weight.data().data(), col.data(), y, ws.n, geom.patch, plane);
+    gemm_accumulate(weight.data().data(), col, y, ws.n, geom.patch, plane);
   }
 
   NodePtr xn = x.node();
@@ -303,7 +408,7 @@ Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias, int str
     if (need_x) xn->ensure_grad();
     if (need_w) wn->ensure_grad();
     if (need_b) bn->ensure_grad();
-    std::vector<float> col(static_cast<std::size_t>(geom.patch) * plane);
+    std::vector<float> scratch;
     std::vector<float> dcol(static_cast<std::size_t>(geom.patch) * plane);
     for (int n = 0; n < geom.xs.n; ++n) {
       const float* dy = self.grad.data() + offset(os, n, 0, 0, 0);
@@ -316,10 +421,9 @@ Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias, int str
         }
       }
       if (need_w) {
-        im2col(xn->data.data(), geom, n, col.data());
         // dW[Cout, patch] += dY[Cout, plane] x col^T[plane, patch].
-        gemm_b_ct_accumulate(dy, col.data(), wn->grad.data(), geom.ws.n, plane,
-                             geom.patch);
+        gemm_b_ct_accumulate(dy, conv_columns(xn->data.data(), geom, n, scratch),
+                             wn->grad.data(), geom.ws.n, plane, geom.patch);
       }
       if (need_x) {
         // dcol[patch, plane] = W^T[patch, Cout] x dY[Cout, plane].

@@ -3,9 +3,10 @@
 /// \file ops.hpp
 /// Differentiable operations over nn::Tensor. Every op records a tape entry
 /// so Tensor::backward() can propagate gradients; ops with no grad-requiring
-/// inputs skip the tape. Every registered module weight requires grad, so a
-/// model forward records the tape even at inference (there is no no-grad
-/// mode yet).
+/// inputs skip the tape, and so does every op run while an nn::NoGradGuard
+/// is alive on the calling thread. Every registered module weight requires
+/// grad, so inference (train::predict_volts) holds a guard: without one a
+/// model forward would keep every activation alive until its output died.
 
 #include <vector>
 
@@ -22,11 +23,14 @@ Tensor relu(const Tensor& a);
 Tensor sigmoid(const Tensor& a);
 
 // --- Convolution / pooling --------------------------------------------------
-/// 2-D convolution (cross-correlation). `weight` is [Cout, Cin, kh, kw];
-/// `bias` may be undefined or [1, Cout, 1, 1]. Padding -1 means "same"
-/// (requires odd kernel, stride 1).
-Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias, int stride = 1,
-              int pad_h = -1, int pad_w = -1);
+/// 2-D convolution (cross-correlation), stride 1 with "same" zero padding,
+/// so the output plane is the input plane. `weight` is [Cout, Cin, kh, kw]
+/// with odd kh and kw (irf::ConfigError otherwise); `bias` may be undefined
+/// or [1, Cout, 1, 1]. Each output sums bias (or 0) plus its products in
+/// ascending (ci, ky, kx) order, padding taps included, one sample at a
+/// time, so a batch is bit-identical to one-sample calls. Counts its
+/// multiply-adds into the `nn.conv_macs` counter.
+Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias);
 
 /// Max pooling with window == stride == `k` (H, W must divide by k).
 Tensor maxpool2d(const Tensor& x, int k = 2);

@@ -8,6 +8,21 @@
 
 namespace irf::nn {
 
+namespace detail {
+void throw_undefined(const char* accessor) {
+  throw Error(std::string(accessor) + " on undefined tensor");
+}
+}  // namespace detail
+
+namespace {
+thread_local bool t_grad_enabled = true;
+}  // namespace
+
+NoGradGuard::NoGradGuard() : previous_(t_grad_enabled) { t_grad_enabled = false; }
+NoGradGuard::~NoGradGuard() { t_grad_enabled = previous_; }
+
+bool grad_enabled() { return t_grad_enabled; }
+
 std::string Shape::str() const {
   return "[" + std::to_string(n) + "," + std::to_string(c) + "," + std::to_string(h) +
          "," + std::to_string(w) + "]";
@@ -50,32 +65,22 @@ Tensor Tensor::from_data(Shape shape, std::vector<float> data, bool requires_gra
 }
 
 const Shape& Tensor::shape() const {
-  if (!node_) throw Error("shape() on undefined tensor");
+  if (!node_) detail::throw_undefined("shape()");
   return node_->shape;
 }
 
 bool Tensor::requires_grad() const {
-  if (!node_) throw Error("requires_grad() on undefined tensor");
+  if (!node_) detail::throw_undefined("requires_grad()");
   return node_->requires_grad;
 }
 
-std::vector<float>& Tensor::data() {
-  if (!node_) throw Error("data() on undefined tensor");
-  return node_->data;
-}
-
-const std::vector<float>& Tensor::data() const {
-  if (!node_) throw Error("data() on undefined tensor");
-  return node_->data;
-}
-
 const std::vector<float>& Tensor::grad() const {
-  if (!node_) throw Error("grad() on undefined tensor");
+  if (!node_) detail::throw_undefined("grad()");
   return node_->grad;
 }
 
 std::vector<float>& Tensor::mutable_grad() {
-  if (!node_) throw Error("mutable_grad() on undefined tensor");
+  if (!node_) detail::throw_undefined("mutable_grad()");
   node_->ensure_grad();
   return node_->grad;
 }
@@ -128,7 +133,7 @@ void Tensor::zero_grad() {
 }
 
 void Tensor::backward() {
-  if (!node_) throw Error("backward() on undefined tensor");
+  if (!node_) detail::throw_undefined("backward()");
   if (numel() != 1) {
     throw DimensionError("backward() requires a scalar loss, got " + shape().str());
   }
@@ -169,6 +174,7 @@ Tensor make_op_result(Shape shape, std::vector<float> data,
                       std::vector<std::shared_ptr<detail::Node>> parents,
                       std::function<void(detail::Node&)> backward_fn) {
   Tensor t = Tensor::from_data(shape, std::move(data));
+  if (!t_grad_enabled) return t;
   bool needs_grad = false;
   for (const auto& p : parents) {
     if (p && p->requires_grad) needs_grad = true;

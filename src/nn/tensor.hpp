@@ -51,7 +51,30 @@ struct Node {
   }
 };
 
+/// Throws irf::Error for `accessor` called on an undefined tensor. Out of
+/// line, so the inline accessors stay a null test and a load.
+[[noreturn]] void throw_undefined(const char* accessor);
+
 }  // namespace detail
+
+/// Disables tape recording on the calling thread while alive: ops return
+/// results with no parents, no backward closure and requires_grad() false,
+/// and BatchNorm2d keeps no normalized-activation cache, so each activation
+/// dies with its last handle. Guards nest; each restores the mode it found.
+/// Thread-local, so inference on one thread never changes training on another.
+class NoGradGuard {
+ public:
+  NoGradGuard();
+  ~NoGradGuard();
+  NoGradGuard(const NoGradGuard&) = delete;
+  NoGradGuard& operator=(const NoGradGuard&) = delete;
+
+ private:
+  bool previous_;
+};
+
+/// False while a NoGradGuard is alive on the calling thread.
+bool grad_enabled();
 
 /// Value-semantic handle to a graph node.
 class Tensor {
@@ -71,8 +94,14 @@ class Tensor {
   std::int64_t numel() const { return shape().numel(); }
   bool requires_grad() const;
 
-  std::vector<float>& data();
-  const std::vector<float>& data() const;
+  std::vector<float>& data() {
+    if (!node_) detail::throw_undefined("data()");
+    return node_->data;
+  }
+  const std::vector<float>& data() const {
+    if (!node_) detail::throw_undefined("data()");
+    return node_->data;
+  }
   /// Gradient buffer (empty until backward() touches this node).
   const std::vector<float>& grad() const;
   std::vector<float>& mutable_grad();
@@ -109,7 +138,8 @@ class Tensor {
 };
 
 /// Create a result node for an op. `parents` that require grad make the
-/// result require grad; `backward_fn` is only stored in that case.
+/// result require grad; `backward_fn` is only stored in that case, and
+/// neither is while a NoGradGuard is alive.
 Tensor make_op_result(Shape shape, std::vector<float> data,
                       std::vector<std::shared_ptr<detail::Node>> parents,
                       std::function<void(detail::Node&)> backward_fn);

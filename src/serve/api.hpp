@@ -82,8 +82,9 @@ struct StageTimings {
 /// The engine's answer. `ir_drop` is only populated for kOk/kDegraded.
 struct AnalysisResult {
   ResultStatus status = ResultStatus::kFailed;
-  GridF ir_drop;  ///< final bottom-layer IR-drop image (volts)
-  GridF rough;    ///< rough numerical map (populated when computed)
+  /// Final bottom-layer IR-drop image (volts): the refined map for kOk,
+  /// the rough numerical map for kDegraded.
+  GridF ir_drop;
 
   bool cache_hit = false;   ///< numerical+feature stage served from cache
   bool warm_start = false;  ///< incremental re-analysis: cached hierarchy +
@@ -113,8 +114,9 @@ struct AnalysisResult {
 
   StageTimings stages;  ///< per-stage latency breakdown
 
-  /// Convergence telemetry of the numerical stage that produced `rough`
-  /// (cold rough solve or warm-started PCG; cached values on a cache hit).
+  /// Convergence telemetry of the numerical stage that produced the rough
+  /// solution (cold rough solve or warm-started PCG; cached values on a
+  /// cache hit).
   int solver_iterations = 0;
   double solver_final_residual = 0.0;
 

@@ -687,7 +687,6 @@ void Engine::process_batch(std::vector<std::shared_ptr<Pending>> batch) {
   for (Work& w : work) {
     try {
       w.entry = lookup_or_build(w.pending->request, w.result);
-      w.result.rough = w.entry->sample.rough_bottom;
       w.result.solver_iterations = w.entry->rough.iterations;
       w.result.solver_final_residual = w.entry->rough.final_relative_residual;
     } catch (const CheckError& e) {
@@ -768,7 +767,7 @@ void Engine::process_batch(std::vector<std::shared_ptr<Pending>> batch) {
     // answer. Flag it so callers can tell refined from degraded output.
     for (Work& w : alive) {
       w.result.status = ResultStatus::kDegraded;
-      w.result.ir_drop = w.result.rough;
+      w.result.ir_drop = w.entry->sample.rough_bottom;
       w.result.batch_size = static_cast<int>(alive.size());
       w.result.error = model_error;
       flight_.record("degraded", w.result.req_id, 0.0, model_error);

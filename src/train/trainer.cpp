@@ -78,6 +78,8 @@ std::vector<GridF> predict_volts(models::IrModel& model,
   obs::ScopedSpan span("infer", "train");
   obs::count("train.inferences", batch.size());
   model.set_training(false);
+  // No tape: each activation dies with its last handle inside the forward.
+  const nn::NoGradGuard no_grad;
   nn::Shape shape;
   std::vector<float> data;
   for (std::size_t i = 0; i < batch.size(); ++i) {

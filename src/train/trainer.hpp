@@ -45,7 +45,8 @@ TrainHistory train_model(models::IrModel& model, const std::vector<Sample>& samp
 /// the normalized inputs of `batch` are stacked into one [N,C,H,W] tensor,
 /// one forward runs, and the [N,1,H,W] output comes back as one map per
 /// sample, in batch order. Per-sample kernels make every map bit-identical
-/// to a one-element call. Throws irf::DimensionError when the samples'
+/// to a one-element call. The forward runs under nn::NoGradGuard, so it
+/// records no tape. Throws irf::DimensionError when the samples'
 /// input shapes differ or the model returns a wrong shape, irf::CheckError
 /// (debug checks) on a non-finite output.
 std::vector<GridF> predict_volts(models::IrModel& model,

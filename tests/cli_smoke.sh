@@ -144,6 +144,9 @@ fi
 if "$CLI" solve "$DECK" --rough-iters -1; then
   echo "negative --rough-iters must fail"; exit 1
 fi
+if "$CLI" solve "$DECK" --rough-iters ' 3'; then
+  echo "a blank-led --rough-iters must fail"; exit 1
+fi
 # Each flag has one kebab-case spelling: --iters is an unknown flag.
 if "$CLI" solve "$DECK" --iters 3 2> "$WORK/iters.err"; then
   echo "--iters must fail as an unknown flag"; exit 1

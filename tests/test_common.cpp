@@ -231,6 +231,9 @@ TEST(Parse, Int64) {
   EXPECT_EQ(try_parse_int64("0").value(), 0);
   EXPECT_FALSE(try_parse_int64("").has_value());
   EXPECT_FALSE(try_parse_int64("12 ").has_value());
+  EXPECT_FALSE(try_parse_int64(" 3").has_value());
+  EXPECT_FALSE(try_parse_int64("\t7").has_value());
+  EXPECT_FALSE(try_parse_int64(" -5").has_value());
   EXPECT_FALSE(try_parse_int64("9223372036854775808").has_value());  // INT64_MAX+1
 }
 
@@ -240,6 +243,10 @@ TEST(Parse, Uint64RejectsNegativeWrap) {
   EXPECT_EQ(try_parse_uint64("18446744073709551615").value(), UINT64_MAX);
   EXPECT_FALSE(try_parse_uint64("18446744073709551616").has_value());
   EXPECT_FALSE(try_parse_uint64("7seven").has_value());
+  // strtoull skips leading blanks, so " -5" used to wrap past the sign check.
+  EXPECT_FALSE(try_parse_uint64(" -5").has_value());
+  EXPECT_FALSE(try_parse_uint64(" 3").has_value());
+  EXPECT_FALSE(try_parse_uint64("\t7").has_value());
 }
 
 TEST(ScaleConfig, SeedEnvValidation) {

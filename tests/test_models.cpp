@@ -177,6 +177,26 @@ TEST(ModelZoo, EvalModeIsDeterministic) {
   }
 }
 
+TEST(ModelZoo, NoGradForwardIsBitIdenticalToTapedForward) {
+  // The guard drops the tape and BatchNorm's cache, never a value. The head
+  // starts at zero, so give it weights to make the output depend on them.
+  Rng rng(23);
+  auto model = make_ir_fusion_net(5, 4, rng);
+  model->set_training(false);
+  for (Tensor p : model->parameters()) {
+    for (float& v : p.data()) {
+      if (v == 0.0f) v = static_cast<float>(rng.normal(0.0, 0.1));
+    }
+  }
+  Tensor x = random_input({2, 5, 16, 16}, rng);
+  const Tensor taped = model->forward(x);
+  EXPECT_TRUE(taped.requires_grad());
+  const nn::NoGradGuard guard;
+  const Tensor untaped = model->forward(x);
+  EXPECT_FALSE(untaped.requires_grad());
+  EXPECT_EQ(untaped.data(), taped.data());
+}
+
 TEST(ModelZoo, DistinctNames) {
   Rng rng(9);
   std::set<std::string> names;

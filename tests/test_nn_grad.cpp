@@ -88,15 +88,6 @@ TEST(GradCheck, Conv2dInputWeightBias) {
   });
 }
 
-TEST(GradCheck, Conv2dStride2NoPad) {
-  Rng rng(6);
-  std::vector<Tensor> leaves{leaf({1, 2, 4, 4}, rng, 0.5), leaf({2, 2, 2, 2}, rng, 0.5)};
-  grad_check(leaves, [](const std::vector<Tensor>& l) {
-    Tensor y = conv2d(l[0], l[1], Tensor{}, 2, 0, 0);
-    return mse_loss(y, Tensor::zeros(y.shape()));
-  });
-}
-
 TEST(GradCheck, AsymmetricKernel) {
   Rng rng(7);
   std::vector<Tensor> leaves{leaf({1, 1, 5, 5}, rng, 0.5), leaf({2, 1, 1, 7}, rng, 0.5)};

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -50,12 +53,15 @@ TEST(Ops, Conv2dIdentityKernel) {
 }
 
 TEST(Ops, Conv2dKnownValues) {
-  // 2x2 input, 2x2 kernel, no padding -> single output = dot product.
-  Tensor x = Tensor::from_data({1, 1, 2, 2}, {1, 2, 3, 4});
-  Tensor w = Tensor::from_data({1, 1, 2, 2}, {10, 20, 30, 40});
-  Tensor y = conv2d(x, w, Tensor{}, /*stride=*/1, /*pad_h=*/0, /*pad_w=*/0);
-  ASSERT_EQ(y.shape(), (Shape{1, 1, 1, 1}));
-  EXPECT_FLOAT_EQ(y.scalar(), 1 * 10 + 2 * 20 + 3 * 30 + 4 * 40);
+  // 3x3 input, 3x3 kernel, "same" padding: the centre output sees every tap,
+  // so it is the full dot product; the top-left corner sees its 2x2 window.
+  Tensor x = Tensor::from_data({1, 1, 3, 3}, {1, 2, 3, 4, 5, 6, 7, 8, 9});
+  Tensor w = Tensor::from_data({1, 1, 3, 3}, {10, 20, 30, 40, 50, 60, 70, 80, 90});
+  Tensor y = conv2d(x, w, Tensor{});
+  ASSERT_EQ(y.shape(), (Shape{1, 1, 3, 3}));
+  EXPECT_FLOAT_EQ(y.data()[4], 1 * 10 + 2 * 20 + 3 * 30 + 4 * 40 + 5 * 50 + 6 * 60 +
+                                   7 * 70 + 8 * 80 + 9 * 90);
+  EXPECT_FLOAT_EQ(y.data()[0], 1 * 50 + 2 * 60 + 4 * 80 + 5 * 90);
 }
 
 TEST(Ops, Conv2dBiasAndMultiChannel) {
@@ -70,25 +76,171 @@ TEST(Ops, Conv2dBiasAndMultiChannel) {
   EXPECT_FLOAT_EQ(y.data()[4 * plane], 10.0f);  // co=4: 6 + 4
 }
 
-TEST(Ops, Conv2dStride2) {
-  Tensor x = iota({1, 1, 4, 4});
-  Tensor w = Tensor::from_data({1, 1, 1, 1}, {1.0f});
-  Tensor y = conv2d(x, w, Tensor{}, /*stride=*/2, /*pad_h=*/0, /*pad_w=*/0);
-  ASSERT_EQ(y.shape(), (Shape{1, 1, 2, 2}));
-  EXPECT_FLOAT_EQ(y.data()[0], 0.0f);
-  EXPECT_FLOAT_EQ(y.data()[1], 2.0f);
-  EXPECT_FLOAT_EQ(y.data()[2], 8.0f);
-}
-
 TEST(Ops, Conv2dValidation) {
   Tensor x = Tensor::zeros({1, 2, 4, 4});
   Tensor w = Tensor::zeros({1, 3, 3, 3});
   EXPECT_THROW(conv2d(x, w, Tensor{}), DimensionError);  // channel mismatch
   Tensor w2 = Tensor::zeros({1, 2, 2, 2});
   EXPECT_THROW(conv2d(x, w2, Tensor{}), ConfigError);  // even kernel, same pad
+  EXPECT_THROW(conv2d(x, Tensor::zeros({1, 2, 3, 2}), Tensor{}), ConfigError);
   Tensor w3 = Tensor::zeros({1, 2, 3, 3});
   Tensor bad_bias = Tensor::zeros({1, 2, 1, 1});
   EXPECT_THROW(conv2d(x, w3, bad_bias), DimensionError);  // bias wrong channels
+}
+
+// --- conv2d differentials ----------------------------------------------------
+
+/// The bits of every element, so +0 and -0 compare unequal.
+std::vector<std::uint32_t> bits(const std::vector<float>& v) {
+  std::vector<std::uint32_t> out(v.size());
+  std::memcpy(out.data(), v.data(), v.size() * sizeof(float));
+  return out;
+}
+
+/// Normal values with about one entry in four replaced by +0 or -0.
+std::vector<float> values_with_zeros(std::int64_t n, Rng& rng) {
+  std::vector<float> v(static_cast<std::size_t>(n));
+  for (float& x : v) {
+    const double u = rng.uniform();
+    x = u < 0.125 ? 0.0f : u < 0.25 ? -0.0f : static_cast<float>(rng.normal());
+  }
+  return v;
+}
+
+/// Copy of the GEMM loop conv2d ran before its register-tiled kernel: i-k-j
+/// over 128 x 256 cache blocks of k x n, zero A entries skipped, each C
+/// element summing a * b in ascending k. The differential reference that
+/// pins the kernel bit for bit.
+void gemm_rows_reference(const float* a, const float* b, float* c, int m, int k, int n) {
+  constexpr int kBlockN = 256;
+  constexpr int kBlockK = 128;
+  for (int pc = 0; pc < k; pc += kBlockK) {
+    const int pe = std::min(k, pc + kBlockK);
+    for (int jc = 0; jc < n; jc += kBlockN) {
+      const int je = std::min(n, jc + kBlockN);
+      for (int i = 0; i < m; ++i) {
+        const float* arow = a + static_cast<std::size_t>(i) * k;
+        float* crow = c + static_cast<std::size_t>(i) * n;
+        for (int p = pc; p < pe; ++p) {
+          const float av = arow[p];
+          if (av == 0.0f) continue;
+          const float* brow = b + static_cast<std::size_t>(p) * n;
+          for (int j = jc; j < je; ++j) crow[j] += av * brow[j];
+        }
+      }
+    }
+  }
+}
+
+/// A 1x1 conv of x [1, K, 1, N] by weight [M, K, 1, 1] is one GEMM with
+/// A = weight, B = x and C starting at the bias (+0 without one), so it
+/// drives the kernel on any shape through the public op.
+void expect_kernel_matches_reference(int m, int k, int n, bool with_bias, Rng& rng) {
+  const Tensor w = Tensor::from_data({m, k, 1, 1}, values_with_zeros(int64_t{m} * k, rng));
+  const Tensor x = Tensor::from_data({1, k, 1, n}, values_with_zeros(int64_t{k} * n, rng));
+  Tensor bias;
+  std::vector<float> expected(static_cast<std::size_t>(m) * n, 0.0f);
+  if (with_bias) {
+    std::vector<float> b(static_cast<std::size_t>(m));
+    for (float& v : b) v = static_cast<float>(rng.normal());
+    for (int i = 0; i < m; ++i) {
+      std::fill_n(expected.begin() + static_cast<std::ptrdiff_t>(i) * n, n, b[i]);
+    }
+    bias = Tensor::from_data({1, m, 1, 1}, std::move(b));
+  }
+  gemm_rows_reference(w.data().data(), x.data().data(), expected.data(), m, k, n);
+  const Tensor y = conv2d(x, w, bias);
+  EXPECT_EQ(bits(y.data()), bits(expected))
+      << "M " << m << " K " << k << " N " << n << " bias " << with_bias;
+}
+
+TEST(Ops, Conv2dKernelMatchesRowLoopBitForBit) {
+  Rng rng(2024);
+  // Edge shapes: single row / column / depth, odd N, exact 4 x 8 tiles, both
+  // tails at once, and one shape big enough to split strips over the pool.
+  const int fixed[][3] = {{1, 1, 1},  {1, 1, 7},   {1, 70, 1},  {4, 3, 8},  {5, 1, 9},
+                          {3, 9, 17}, {19, 70, 300}, {8, 16, 64}, {16, 144, 1024}};
+  for (const auto& s : fixed) {
+    for (bool with_bias : {false, true}) {
+      expect_kernel_matches_reference(s[0], s[1], s[2], with_bias, rng);
+    }
+  }
+  for (int trial = 0; trial < 400; ++trial) {
+    const int m = rng.uniform_int(1, 19);
+    const int k = rng.uniform_int(1, 70);
+    const int n = rng.uniform_int(1, 300);
+    expect_kernel_matches_reference(m, k, n, trial % 2 == 1, rng);
+  }
+}
+
+/// Direct convolution, stride 1, "same" padding: each output starts at its
+/// bias (or +0) and adds w * x over the in-bounds taps in ascending
+/// (ci, ky, kx) order. conv2d also adds w * 0 for the padding taps, which
+/// leaves every sum that does not start at -0 unchanged, so the biases here
+/// are nonzero.
+std::vector<float> direct_conv(const Tensor& x, const Tensor& w, const Tensor& bias) {
+  const Shape xs = x.shape();
+  const Shape ws = w.shape();
+  const int ph = ws.h / 2;
+  const int pw = ws.w / 2;
+  std::vector<float> out(static_cast<std::size_t>(xs.n) * ws.n * xs.h * xs.w);
+  std::size_t o = 0;
+  for (int n = 0; n < xs.n; ++n) {
+    for (int co = 0; co < ws.n; ++co) {
+      for (int y = 0; y < xs.h; ++y) {
+        for (int xo = 0; xo < xs.w; ++xo) {
+          float acc = bias.defined() ? bias.data()[static_cast<std::size_t>(co)] : 0.0f;
+          for (int ci = 0; ci < xs.c; ++ci) {
+            for (int ky = 0; ky < ws.h; ++ky) {
+              const int iy = y + ky - ph;
+              if (iy < 0 || iy >= xs.h) continue;
+              for (int kx = 0; kx < ws.w; ++kx) {
+                const int ix = xo + kx - pw;
+                if (ix < 0 || ix >= xs.w) continue;
+                acc += w.at(co, ci, ky, kx) * x.at(n, ci, iy, ix);
+              }
+            }
+          }
+          out[o++] = acc;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(Ops, Conv2dMatchesDirectConvolutionBitForBit) {
+  Rng rng(77);
+  const int kernels[][2] = {{1, 1}, {3, 3}, {1, 7}, {7, 1}, {1, 3}, {3, 1}};
+  // Planes include ones smaller than every kernel in a dimension.
+  const int planes[][2] = {{1, 1}, {2, 5}, {5, 2}, {3, 3}, {8, 8}, {4, 13}};
+  int trial = 0;
+  for (const auto& kernel : kernels) {
+    for (const auto& plane : planes) {
+      ++trial;
+      const int batch = 1 + trial % 3;
+      const int cin = 1 + trial % 5;
+      const int cout = 1 + (trial * 7) % 9;
+      const Shape xs{batch, cin, plane[0], plane[1]};
+      const Shape ws{cout, cin, kernel[0], kernel[1]};
+      const Tensor x = Tensor::from_data(xs, values_with_zeros(xs.numel(), rng));
+      const Tensor w = Tensor::from_data(ws, values_with_zeros(ws.numel(), rng));
+      Tensor bias;
+      if (trial % 2 == 0) {
+        std::vector<float> b(static_cast<std::size_t>(cout));
+        for (float& v : b) v = static_cast<float>(rng.normal());
+        bias = Tensor::from_data({1, cout, 1, 1}, std::move(b));
+      }
+      EXPECT_EQ(bits(conv2d(x, w, bias).data()), bits(direct_conv(x, w, bias)))
+          << "x " << xs.str() << " w " << ws.str() << " bias " << bias.defined();
+    }
+  }
+  // One shape with enough work for the pool to split the GEMM's strips.
+  const Tensor x =
+      Tensor::from_data({2, 16, 32, 32}, values_with_zeros(2 * 16 * 32 * 32, rng));
+  const Tensor w = Tensor::from_data({16, 16, 3, 3}, values_with_zeros(16 * 16 * 9, rng));
+  const Tensor b = Tensor::full({1, 16, 1, 1}, 0.25f);
+  EXPECT_EQ(bits(conv2d(x, w, b).data()), bits(direct_conv(x, w, b)));
 }
 
 TEST(Ops, MaxPoolValuesAndShape) {

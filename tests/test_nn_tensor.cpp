@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "common/error.hpp"
 #include "nn/ops.hpp"
 #include "nn/tensor.hpp"
@@ -110,6 +112,49 @@ TEST(Shape, EqualityAndString) {
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.str(), "[1,2,3,4]");
   EXPECT_EQ(a.numel(), 24);
+}
+
+// --- no-grad mode -------------------------------------------------------------
+
+TEST(NoGrad, OpsOnGradWeightsRecordNoTapeWhileGuarded) {
+  Tensor w = Tensor::full({1, 1, 1, 3}, 2.0f, /*requires_grad=*/true);
+  Tensor x = Tensor::full({1, 1, 1, 3}, 1.0f);
+  {
+    const NoGradGuard guard;
+    EXPECT_FALSE(grad_enabled());
+    Tensor y = add(x, w);
+    EXPECT_FALSE(y.requires_grad());
+    EXPECT_TRUE(y.node()->parents.empty());
+    EXPECT_FALSE(y.node()->backward_fn);
+    EXPECT_FLOAT_EQ(y.data()[0], 3.0f);  // the values are computed as ever
+  }
+  EXPECT_TRUE(grad_enabled());
+  Tensor y = add(x, w);
+  EXPECT_TRUE(y.requires_grad());
+  EXPECT_EQ(y.node()->parents.size(), 2u);
+  mse_loss(y, Tensor::zeros(y.shape())).backward();
+  EXPECT_FALSE(w.grad().empty());
+}
+
+TEST(NoGrad, GuardsNestAndRestoreThePreviousMode) {
+  EXPECT_TRUE(grad_enabled());
+  {
+    const NoGradGuard outer;
+    {
+      const NoGradGuard inner;
+      EXPECT_FALSE(grad_enabled());
+    }
+    EXPECT_FALSE(grad_enabled());  // the inner guard restored "off", not "on"
+  }
+  EXPECT_TRUE(grad_enabled());
+}
+
+TEST(NoGrad, GuardIsThreadLocal) {
+  const NoGradGuard guard;
+  bool other_thread_enabled = false;
+  std::thread([&] { other_thread_enabled = grad_enabled(); }).join();
+  EXPECT_TRUE(other_thread_enabled);
+  EXPECT_FALSE(grad_enabled());
 }
 
 }  // namespace

@@ -54,6 +54,7 @@ TEST(ParPool, ParseThreadsEnv) {
   // garbage falls back to hardware concurrency, out-of-range clamps.
   EXPECT_EQ(par::parse_threads_env("abc"), par::hardware_threads());
   EXPECT_EQ(par::parse_threads_env("4x"), par::hardware_threads());
+  EXPECT_EQ(par::parse_threads_env(" 4093"), par::hardware_threads());  // blank-led
   EXPECT_EQ(par::parse_threads_env("-2"), 1);
   EXPECT_EQ(par::parse_threads_env("100000"), 4096);
   EXPECT_EQ(par::parse_threads_env("99999999999999999999"), par::hardware_threads());

@@ -137,6 +137,29 @@ TEST_F(TrainFixture, PredictVoltsBatchMatchesOneSampleCalls) {
   }
 }
 
+TEST_F(TrainFixture, TrainingStepAfterPredictVoltsGetsGradients) {
+  // predict_volts runs its forward without a tape; the guard must end with
+  // the call, so the next training forward records one again.
+  const Normalizer norm = Normalizer::fit(*samples_);
+  Rng rng(10);
+  const Sample& sample = samples_->front();
+  const int ch = view_channel_count(sample, FeatureView::kFusionHier);
+  auto model = models::make_ir_fusion_net(ch, 4, rng);
+  (void)predict_volts(*model, {&sample}, FeatureView::kFusionHier, norm);
+  EXPECT_TRUE(nn::grad_enabled());
+  model->set_training(true);
+  const nn::Tensor pred =
+      model->forward(norm.input_tensor(sample, FeatureView::kFusionHier));
+  ASSERT_TRUE(pred.requires_grad());
+  model->loss(pred, Normalizer::label_tensor(sample)).backward();
+  bool any_nonzero = false;
+  for (const nn::Tensor& p : model->parameters()) {
+    ASSERT_FALSE(p.grad().empty());
+    for (float g : p.grad()) any_nonzero = any_nonzero || g != 0.0f;
+  }
+  EXPECT_TRUE(any_nonzero);
+}
+
 TEST_F(TrainFixture, PredictVoltsRejectsMixedShapes) {
   const Normalizer norm = Normalizer::fit(*samples_);
   Rng rng(9);
