@@ -5,10 +5,11 @@
 //
 // Two engines serve the identical request sequence:
 //
-//   cold   enable_warm_start = false — every perturbation pays MNA assembly,
-//          AMG setup, the full rough solve and full feature extraction
-//   warm   enable_warm_start = true  — every perturbation rides the cached
-//          hierarchy and rough solution of its predecessor
+//   cold   the cache is cleared before each perturbation, so every one pays
+//          MNA assembly, AMG setup, the full rough solve and full feature
+//          extraction
+//   warm   every perturbation rides the cached hierarchy and rough solution
+//          of its predecessor
 //
 // Per round the served map is scored against a golden solve of that exact
 // perturbed design; the fusion contract is that warm serving must not move
@@ -80,17 +81,19 @@ IrFusionPipeline train_pipeline(const Sizes& sz, const pg::PgDesign& base) {
   return pipeline;
 }
 
-/// Serve the base design (uncounted cache fill), then time each perturbation.
+/// Serve the base design (uncounted cache fill), then time each perturbation;
+/// `cold` clears the cache before each one, so none finds a warm seed.
 /// The serve_request timer is reset after the fill so its quantiles cover
 /// exactly the perturbation requests of this engine's pass.
 std::vector<double> timed_rounds(
     Engine& engine, const std::shared_ptr<const pg::PgDesign>& base,
-    const std::vector<std::shared_ptr<const pg::PgDesign>>& perturbed,
+    const std::vector<std::shared_ptr<const pg::PgDesign>>& perturbed, bool cold,
     std::vector<AnalysisResult>& results) {
   if (!engine.analyze(*base).ok()) std::abort();
   obs::MetricsRegistry::instance().timer("serve_request").reset();
   std::vector<double> seconds;
   for (const auto& d : perturbed) {
+    if (cold) engine.clear_cache();
     Stopwatch sw;
     AnalysisResult r = engine.analyze(*d);
     seconds.push_back(sw.seconds());
@@ -177,16 +180,14 @@ int main(int argc, char** argv) {
   std::vector<double> cold_seconds, warm_seconds;
   PassQuantiles cold_q, warm_q;
   {
-    EngineOptions opts;
-    opts.enable_warm_start = false;
-    auto engine = Engine::from_checkpoint(checkpoint, opts);
-    cold_seconds = timed_rounds(*engine, base, perturbed, cold_results);
+    auto engine = Engine::from_checkpoint(checkpoint);
+    cold_seconds = timed_rounds(*engine, base, perturbed, /*cold=*/true, cold_results);
     cold_q = capture_quantiles();
   }
   EngineStats warm_stats;
   {
-    auto engine = Engine::from_checkpoint(checkpoint);  // warm start on
-    warm_seconds = timed_rounds(*engine, base, perturbed, warm_results);
+    auto engine = Engine::from_checkpoint(checkpoint);
+    warm_seconds = timed_rounds(*engine, base, perturbed, /*cold=*/false, warm_results);
     warm_q = capture_quantiles();
     warm_stats = engine->stats();
   }

@@ -83,6 +83,8 @@ struct Entry {
   double throughput_rps = 0.0;  ///< served maps / wall time
   double e2e_p50_seconds = 0.0;
   double e2e_p99_seconds = 0.0;
+  double queue_wait_p50_seconds = 0.0;  ///< StageTimings::queue_wait_seconds
+  double queue_wait_p99_seconds = 0.0;
   double cache_hit_rate = 0.0;
   std::uint64_t shed = 0;
   std::uint64_t evictions = 0;
@@ -156,9 +158,6 @@ RouterOptions router_options(int shards, std::size_t budget_bytes) {
   opts.engine.max_batch = 8;
   opts.engine.queue_capacity = 64;
   opts.engine.cache_budget_bytes = budget_bytes;
-  // The population is topology-distinct by construction, so warm starts
-  // never apply; disabling the candidate scan keeps misses miss-pure.
-  opts.engine.enable_warm_start = false;
   return opts;
 }
 
@@ -229,26 +228,30 @@ Entry run_config(const std::string& checkpoint, int shards, std::size_t budget_b
   e.compute_threads = shards + e.pool_threads - 1;
   e.requests = requests;
   e.offered_rps = offered_rps;
-  std::vector<double> latencies;
+  std::vector<double> latencies, queue_waits;
   latencies.reserve(tickets.size());
+  queue_waits.reserve(tickets.size());
   for (std::size_t i = 0; i < tickets.size(); ++i) {
     AnalysisResult r = tickets[i].result.get();
     if (!r.has_map()) continue;  // shed/failed requests deliver no map
     ++e.served;
     latencies.push_back(submit_delay[i] + r.stages.total_seconds);
+    queue_waits.push_back(r.stages.queue_wait_seconds);
   }
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   e.throughput_rps = e.served / std::max(wall, 1e-9);
-  std::sort(latencies.begin(), latencies.end());
-  const auto quantile = [&](double q) {
-    if (latencies.empty()) return 0.0;
-    const std::size_t idx = static_cast<std::size_t>(
-        q * static_cast<double>(latencies.size() - 1) + 0.5);
-    return latencies[std::min(idx, latencies.size() - 1)];
+  const auto quantile = [](std::vector<double> v, double q) {
+    if (v.empty()) return 0.0;
+    std::sort(v.begin(), v.end());
+    const std::size_t idx =
+        static_cast<std::size_t>(q * static_cast<double>(v.size() - 1) + 0.5);
+    return v[std::min(idx, v.size() - 1)];
   };
-  e.e2e_p50_seconds = quantile(0.50);
-  e.e2e_p99_seconds = quantile(0.99);
+  e.e2e_p50_seconds = quantile(latencies, 0.50);
+  e.e2e_p99_seconds = quantile(latencies, 0.99);
+  e.queue_wait_p50_seconds = quantile(queue_waits, 0.50);
+  e.queue_wait_p99_seconds = quantile(queue_waits, 0.99);
   const EngineStats total = router->stats();
   const std::uint64_t lookups = total.cache_hits + total.cache_misses;
   e.cache_hit_rate =
@@ -283,6 +286,8 @@ void write_json(const std::vector<Entry>& entries, double c1_rps, double c2_rps,
       << ", \"throughput_rps\": " << obs::json_number(e.throughput_rps)
       << ", \"e2e_p50_seconds\": " << obs::json_number(e.e2e_p50_seconds)
       << ", \"e2e_p99_seconds\": " << obs::json_number(e.e2e_p99_seconds)
+      << ", \"queue_wait_p50_seconds\": " << obs::json_number(e.queue_wait_p50_seconds)
+      << ", \"queue_wait_p99_seconds\": " << obs::json_number(e.queue_wait_p99_seconds)
       << ", \"cache_hit_rate\": " << obs::json_number(e.cache_hit_rate)
       << ", \"shed\": " << e.shed << ", \"evictions\": " << e.evictions
       << ", \"throughput_over_single\": " << obs::json_number(e.throughput_over_single)
@@ -388,12 +393,14 @@ int main(int argc, char** argv) {
   write_json(entries, c1, c2, offered, budget);
 
   std::cout << "shards  budget_KiB  threads   served      req/s     p50_ms     p99_ms"
-               "  hit_rate  evict  shed  tput/1  p99/1\n";
+               "  qw_p50_ms  qw_p99_ms  hit_rate  evict  shed  tput/1  p99/1\n";
   for (const Entry& e : entries) {
-    std::printf("%6d %11.0f %8d %8d %10.1f %10.2f %10.2f %9.3f %6llu %5llu %7.2f %6.2f\n",
+    std::printf("%6d %11.0f %8d %8d %10.1f %10.2f %10.2f %10.2f %10.2f %9.3f %6llu %5llu %7.2f"
+                " %6.2f\n",
                 e.shards, e.total_cache_budget_bytes / 1024.0, e.compute_threads,
                 e.served, e.throughput_rps, e.e2e_p50_seconds * 1e3,
-                e.e2e_p99_seconds * 1e3, e.cache_hit_rate,
+                e.e2e_p99_seconds * 1e3, e.queue_wait_p50_seconds * 1e3,
+                e.queue_wait_p99_seconds * 1e3, e.cache_hit_rate,
                 static_cast<unsigned long long>(e.evictions),
                 static_cast<unsigned long long>(e.shed), e.throughput_over_single,
                 e.p99_over_single);

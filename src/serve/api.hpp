@@ -5,7 +5,7 @@
 /// docs/API.md). Callers build an AnalysisRequest around a PG design, hand
 /// it to an irf::serve::Engine, and receive an AnalysisResult whose status
 /// says exactly where the map came from: the full fusion path, the degraded
-/// numerical-only fallback, or not at all (timeout / cancellation / error).
+/// numerical-only fallback, or not at all (timeout / shed / shutdown / error).
 /// These types are re-exported at the top level by the irf.hpp facade.
 
 #include <cstdint>
@@ -22,7 +22,7 @@ enum class ResultStatus {
   kOk,        ///< full pipeline: numerical stage + model refinement
   kDegraded,  ///< rough numerical map only (no model, or inference failed)
   kTimedOut,  ///< deadline expired before the engine finished the request
-  kCancelled, ///< cancelled via Engine::cancel() or engine shutdown
+  kCancelled, ///< still queued when the engine shut down
   kFailed,    ///< hard error; see AnalysisResult::error
   kShed,      ///< evicted from a full queue by a higher-priority arrival
 };
@@ -136,16 +136,11 @@ struct EngineOptions {
   std::size_t cache_budget_bytes = std::size_t{256} << 20;  ///< per-design cache
   double default_timeout_seconds = 0.0;  ///< 0 = requests never expire
 
-  /// Incremental re-analysis: when a request misses the content cache but a
-  /// cached entry has the identical topology up to a bounded value delta
-  /// (new current map, scaled supply, a few resistor edits), reuse its AMG
-  /// hierarchy, warm-start PCG from its rough solution and refresh only the
-  /// delta-dependent feature maps. Any classification or numerical failure
-  /// falls back to the cold path (docs/API.md "Incremental serving").
-  bool enable_warm_start = true;
-
-  /// How many resistor value edits still count as an incremental delta;
-  /// larger edit sets force the cold path.
+  /// Warm start is always on: a content-cache miss whose design matches a
+  /// cached entry's topology up to a bounded value delta (new current map,
+  /// scaled supply, a few resistor edits) reuses that entry's AMG hierarchy
+  /// and rough solution (docs/API.md "Incremental serving"). This bounds the
+  /// resistor value edits that still count as such a delta.
   int max_stamp_edits = 8;
 
   /// When non-empty, the engine (over)writes the flight-recorder JSON dump

@@ -20,10 +20,17 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Raster and rough-iteration budget of the map a model-less engine serves;
-// a loaded pipeline's own config governs otherwise.
-constexpr int kFallbackImageSize = 64;
-constexpr int kFallbackRoughIterations = 3;
+// Rough-iteration budget and raster of the served map: the loaded
+// pipeline's config, or 3 iterations on a 64 px raster without a model.
+struct MapBudget {
+  int rough_iterations = 3;
+  int image_size = 64;
+};
+
+MapBudget map_budget(const std::optional<core::IrFusionPipeline>& pipeline) {
+  if (!pipeline) return {};
+  return {pipeline->config().rough_iterations, pipeline->config().image_size};
+}
 
 double seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
@@ -140,17 +147,6 @@ void Engine::fulfil_without_service(const std::shared_ptr<Pending>& pending,
 }
 
 Engine::Ticket Engine::submit(AnalysisRequest request) {
-  // The blocking path always yields a ticket (it waits out backpressure
-  // instead of reporting it).
-  return *submit_impl(std::move(request), /*blocking=*/true);
-}
-
-std::optional<Engine::Ticket> Engine::try_submit(AnalysisRequest request) {
-  return submit_impl(std::move(request), /*blocking=*/false);
-}
-
-std::optional<Engine::Ticket> Engine::submit_impl(AnalysisRequest request,
-                                                  bool blocking) {
   if (!request.design) throw ConfigError("serve: request has no design");
   auto pending = std::make_shared<Pending>();
   pending->request = std::move(request);
@@ -175,9 +171,8 @@ std::optional<Engine::Ticket> Engine::submit_impl(AnalysisRequest request,
   std::shared_ptr<Pending> shed_victim;  // evicted by this (higher-class) arrival
   bool shutdown = false;
   {
-    // One lock acquisition covers the whole admission decision AND the
-    // enqueue: the non-blocking path can never be parked on space_cv_ by a
-    // producer that slipped in between a capacity check and the push.
+    // One lock acquisition covers the whole admission decision (shed or
+    // wait) AND the enqueue.
     std::unique_lock<std::mutex> lk(mutex_);
     const auto queue_full = [&] {
       return queue_.size() >= static_cast<std::size_t>(options_.queue_capacity);
@@ -189,7 +184,6 @@ std::optional<Engine::Ticket> Engine::submit_impl(AnalysisRequest request,
       // keeps the plain backpressure semantics.
       auto victim = queue_.end();
       for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        if ((*it)->cancelled) continue;  // already resolving as cancelled
         if (static_cast<int>((*it)->request.priority) >= cls) continue;
         if (victim == queue_.end() ||
             static_cast<int>((*it)->request.priority) <
@@ -200,10 +194,8 @@ std::optional<Engine::Ticket> Engine::submit_impl(AnalysisRequest request,
       if (victim != queue_.end()) {
         shed_victim = *victim;
         queue_.erase(victim);
-      } else if (blocking) {
-        space_cv_.wait(lk, [&] { return stop_ || !queue_full(); });
       } else {
-        return std::nullopt;
+        space_cv_.wait(lk, [&] { return stop_ || !queue_full(); });
       }
     }
     pending->id = next_id_;
@@ -255,17 +247,6 @@ AnalysisResult Engine::analyze(const pg::PgDesign& design) {
   request.design = std::make_shared<pg::PgDesign>(design);
   Ticket ticket = submit(std::move(request));
   return ticket.result.get();
-}
-
-bool Engine::cancel(std::uint64_t id) {
-  std::lock_guard<std::mutex> lk(mutex_);
-  for (const std::shared_ptr<Pending>& p : queue_) {
-    if (p->id == id && !p->cancelled) {
-      p->cancelled = true;
-      return true;
-    }
-  }
-  return false;
 }
 
 void Engine::pause() {
@@ -407,15 +388,13 @@ std::shared_ptr<Engine::CacheEntry> Engine::lookup_or_build(
       obs::count("serve.cache.hits");
       return it->second;
     }
-    if (options_.enable_warm_start) {
-      // Most recently used entry with the same topology; its solver may
-      // already have been stolen by an earlier warm build, so require one.
-      for (const auto& [key, candidate] : cache_) {
-        (void)key;
-        if (candidate->topology_hash != topo_hash || !candidate->solver) continue;
-        if (!warm_candidate || candidate->last_used > warm_candidate->last_used) {
-          warm_candidate = candidate;
-        }
+    // Most recently used entry with the same topology; its solver may
+    // already have been stolen by an earlier warm build, so require one.
+    for (const auto& [key, candidate] : cache_) {
+      (void)key;
+      if (candidate->topology_hash != topo_hash || !candidate->solver) continue;
+      if (!warm_candidate || candidate->last_used > warm_candidate->last_used) {
+        warm_candidate = candidate;
       }
     }
   }
@@ -428,17 +407,15 @@ std::shared_ptr<Engine::CacheEntry> Engine::lookup_or_build(
   obs::ScopedSpan span("serve_numerical", "serve");
   span.add_arg("warm", 0);
   span.add_arg("req_id", static_cast<double>(result.req_id));
+  const MapBudget budget = map_budget(pipeline_);
   auto entry = std::make_shared<CacheEntry>();
   entry->design = request.design;
   entry->topology_hash = topo_hash;
   const Clock::time_point setup_start = Clock::now();
   entry->solver = std::make_unique<pg::PgSolver>(*entry->design);
   result.stages.setup_seconds = seconds_between(setup_start, Clock::now());
-  const int iterations =
-      pipeline_ ? pipeline_->config().rough_iterations : kFallbackRoughIterations;
-  const int image_size = pipeline_ ? pipeline_->config().image_size : kFallbackImageSize;
   const Clock::time_point solve_start = Clock::now();
-  entry->rough = entry->solver->solve_rough(iterations);
+  entry->rough = entry->solver->solve_rough(budget.rough_iterations);
   result.stages.solve_seconds = seconds_between(solve_start, Clock::now());
   const pg::PgSolution& rough = entry->rough;
 
@@ -447,28 +424,15 @@ std::shared_ptr<Engine::CacheEntry> Engine::lookup_or_build(
   if (pipeline_) {
     // Mirror IrFusionPipeline::analyze exactly: full stacks regardless of
     // the ablation flags (the view() selects channels at inference time).
-    sample = train::fused_sample(*entry->design, rough, image_size);
+    sample = train::fused_sample(*entry->design, rough, budget.image_size);
   } else {
     sample.design_name = entry->design->name;
     sample.kind = entry->design->kind;
-    sample.rough_bottom = features::label_map(*entry->design, rough, image_size);
+    sample.rough_bottom = features::label_map(*entry->design, rough, budget.image_size);
   }
-  sample.label = GridF(image_size, image_size, 0.0f);  // unused by inference
+  sample.label = GridF(budget.image_size, budget.image_size, 0.0f);  // unused by inference
   result.stages.feature_seconds = seconds_between(feature_start, Clock::now());
-
-  // Account every retained byte — feature stacks, rough solution, and the
-  // full MNA + AMG hierarchy — so the LRU budget matches reality.
-  entry->bytes = entry->footprint_bytes();
-
-  std::lock_guard<std::mutex> lk(cache_mutex_);
-  entry->last_used = ++lru_tick_;
-  ++stats_.cache_misses;
-  auto [it, inserted] = cache_.emplace(hash, entry);
-  if (inserted) {
-    stats_.cache_bytes += entry->bytes;
-    stats_.cache_entries = static_cast<int>(cache_.size());
-    evict_to_budget();
-  }
+  insert_entry(hash, entry, /*warm=*/false);
   return entry;
 }
 
@@ -479,47 +443,31 @@ std::shared_ptr<Engine::CacheEntry> Engine::build_warm(
   const pg::DesignDelta delta = pg::classify_design_delta(
       *base->design, *request.design, options_.max_stamp_edits);
   if (!delta.compatible) {
-    {
-      std::lock_guard<std::mutex> lk(cache_mutex_);
-      ++stats_.warm_fallbacks;
-    }
-    obs::count("serve.warm_fallbacks");
-    flight_.record("warm_fallback", result.req_id, 0.0, delta.describe());
     obs::verbose() << "serve: warm candidate for " << request.design->name
                    << " rejected (" << delta.describe() << "); cold build";
-    maybe_dump_flight("warm fallback");
+    warm_fallback(result.req_id, delta.describe());
     return nullptr;
   }
   // Steal the base entry's solver (MNA + AMG hierarchy). The base entry may
   // still back in-flight batch work through its sample, so the sample is
   // COPIED below and only the solver moves. The solver-less base stays
   // cached — it can still serve exact content hits, it just cannot seed
-  // another warm build — with its byte accounting shrunk accordingly.
+  // another warm build — with its byte size shrunk accordingly.
   std::unique_ptr<pg::PgSolver> solver;
   {
     std::lock_guard<std::mutex> lk(cache_mutex_);
     solver = std::move(base->solver);
-    if (solver) {
-      stats_.cache_bytes -= base->bytes;
-      base->bytes = base->footprint_bytes();
-      stats_.cache_bytes += base->bytes;
-      obs::set_gauge("serve.cache.bytes", static_cast<double>(stats_.cache_bytes));
-    }
-  }
-  if (!solver) {
-    {
-      std::lock_guard<std::mutex> lk(cache_mutex_);
-      ++stats_.warm_fallbacks;
-    }
-    obs::count("serve.warm_fallbacks");
-    flight_.record("warm_fallback", result.req_id, 0.0, "base solver already stolen");
-    maybe_dump_flight("warm fallback");
-    return nullptr;
+    // The candidate scan only picks entries that own a solver, and only the
+    // dispatcher thread scans and steals. clear_cache() may have dropped
+    // the base since the scan; cache_bytes is re-summed on the next insert.
+    IRF_CHECK(solver, "serve: warm candidate has no solver");
+    base->bytes = base->footprint_bytes();
   }
   try {
     obs::ScopedSpan span("serve_numerical", "serve");
     span.add_arg("warm", 1);
     span.add_arg("req_id", static_cast<double>(result.req_id));
+    const MapBudget budget = map_budget(pipeline_);
     auto entry = std::make_shared<CacheEntry>();
     entry->design = request.design;
     entry->topology_hash = topology_hash;
@@ -534,12 +482,9 @@ std::shared_ptr<Engine::CacheEntry> Engine::build_warm(
     const Clock::time_point setup_start = Clock::now();
     solver->rebind(*entry->design);
     result.stages.setup_seconds = seconds_between(setup_start, Clock::now());
-    const int iterations =
-        pipeline_ ? pipeline_->config().rough_iterations : kFallbackRoughIterations;
-    const int image_size = pipeline_ ? pipeline_->config().image_size : kFallbackImageSize;
     const double target_residual =
         std::max(base->rough.final_relative_residual, 1e-14);
-    const int max_iterations = std::max(2 * iterations, 8);
+    const int max_iterations = std::max(2 * budget.rough_iterations, 8);
     const Clock::time_point solve_start = Clock::now();
     entry->rough =
         solver->solve_warm(base->rough.node_voltage, target_residual, max_iterations);
@@ -556,7 +501,7 @@ std::shared_ptr<Engine::CacheEntry> Engine::build_warm(
     dirty.wire_values = delta.resistor_edits > 0;
     if (pipeline_) {
       features::FeatureOptions opts;
-      opts.image_size = image_size;
+      opts.image_size = budget.image_size;
       opts.hierarchical = true;
       opts.include_numerical = true;
       features::refresh_features(entry->sample.hier, *entry->design, &entry->rough,
@@ -567,47 +512,59 @@ std::shared_ptr<Engine::CacheEntry> Engine::build_warm(
     }
     if (dirty.numerical) {
       entry->sample.rough_bottom =
-          features::label_map(*entry->design, entry->rough, image_size);
+          features::label_map(*entry->design, entry->rough, budget.image_size);
     }
     result.stages.feature_seconds = seconds_between(feature_start, Clock::now());
     result.warm_start = true;
     span.add_arg("resistor_edits", delta.resistor_edits);
     span.add_arg("warm_iterations", entry->rough.iterations);
-
-    entry->bytes = entry->footprint_bytes();
-    {
-      std::lock_guard<std::mutex> lk(cache_mutex_);
-      entry->last_used = ++lru_tick_;
-      ++stats_.cache_misses;
-      ++stats_.warm_hits;
-      auto [it, inserted] = cache_.emplace(content_hash, entry);
-      (void)it;
-      if (inserted) stats_.cache_bytes += entry->bytes;
-      stats_.cache_entries = static_cast<int>(cache_.size());
-      evict_to_budget();
-    }
-    obs::count("serve.warm_hits");
+    insert_entry(content_hash, entry, /*warm=*/true);
     return entry;
   } catch (const std::exception& e) {
     // The stolen solver dies with this frame; the base keeps serving exact
     // content hits from its sample. The caller rebuilds cold.
     obs::info() << "serve: warm re-analysis of " << request.design->name
                 << " failed (" << e.what() << "); cold rebuild";
-    {
-      std::lock_guard<std::mutex> lk(cache_mutex_);
-      ++stats_.warm_fallbacks;
-    }
-    obs::count("serve.warm_fallbacks");
-    flight_.record("warm_fallback", result.req_id, 0.0, e.what());
-    maybe_dump_flight("warm fallback");
+    warm_fallback(result.req_id, e.what());
     return nullptr;
   }
 }
 
+void Engine::warm_fallback(std::uint64_t req_id, const std::string& reason) {
+  {
+    std::lock_guard<std::mutex> lk(cache_mutex_);
+    ++stats_.warm_fallbacks;
+  }
+  obs::count("serve.warm_fallbacks");
+  flight_.record("warm_fallback", req_id, 0.0, reason);
+  maybe_dump_flight("warm fallback");
+}
+
+void Engine::insert_entry(std::uint64_t content_hash,
+                          const std::shared_ptr<CacheEntry>& entry, bool warm) {
+  // Account every retained byte — feature stacks, rough solution, and the
+  // full MNA + AMG hierarchy — so the LRU budget matches reality.
+  entry->bytes = entry->footprint_bytes();
+  {
+    std::lock_guard<std::mutex> lk(cache_mutex_);
+    entry->last_used = ++lru_tick_;
+    ++stats_.cache_misses;
+    if (warm) ++stats_.warm_hits;
+    cache_.emplace(content_hash, entry);
+    evict_to_budget();
+  }
+  if (warm) obs::count("serve.warm_hits");
+}
+
 void Engine::evict_to_budget() {
-  // cache_mutex_ held. Evict least-recently-used entries until we are back
-  // under budget; a single oversized entry is kept (evicting the design we
-  // are about to serve would thrash).
+  // cache_mutex_ held. cache_bytes is re-summed over the cached entries
+  // rather than kept as a running total, so an entry that clear_cache()
+  // dropped while a warm build resized it cannot skew it. Evict
+  // least-recently-used entries until we are back under budget; a single
+  // oversized entry is kept (evicting the design we are about to serve
+  // would thrash).
+  stats_.cache_bytes = 0;
+  for (const auto& kv : cache_) stats_.cache_bytes += kv.second->bytes;
   while (stats_.cache_bytes > options_.cache_budget_bytes && cache_.size() > 1) {
     auto victim = cache_.begin();
     for (auto it = cache_.begin(); it != cache_.end(); ++it) {
@@ -652,17 +609,6 @@ void Engine::process_batch(std::vector<std::shared_ptr<Pending>> batch) {
                    {{"req_id", static_cast<double>(p->id)},
                     {"queue_depth", static_cast<double>(p->queue_depth_at_admission)}});
     flight_.record("dequeue", p->id, r.stages.queue_wait_seconds);
-    bool cancelled = false;
-    {
-      std::lock_guard<std::mutex> lk(mutex_);
-      cancelled = p->cancelled;
-    }
-    if (cancelled) {
-      r.status = ResultStatus::kCancelled;
-      flight_.record("cancelled", p->id, r.stages.queue_wait_seconds);
-      fulfil(*p, std::move(r));
-      continue;
-    }
     if (t0 > p->deadline) {
       r.status = ResultStatus::kTimedOut;
       r.error = "deadline expired while queued";

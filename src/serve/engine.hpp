@@ -17,9 +17,9 @@
 ///    train::predict_volts, the same code analyze() runs with N = 1.
 ///    Per-sample kernels make this bit-identical to serial analyze()
 ///    (tests/test_serve.cpp pins it);
-///  * robustness: per-request deadlines checked at stage boundaries,
-///    cancellation, and graceful degradation to the rough numerical map —
-///    flagged in the result — when no model is loaded or inference throws.
+///  * robustness: per-request deadlines checked at stage boundaries and
+///    graceful degradation to the rough numerical map — flagged in the
+///    result — when no model is loaded or inference throws.
 ///
 ///  * incremental re-analysis: a content-cache miss whose design matches a
 ///    cached entry's topology up to a bounded value delta reuses that
@@ -109,21 +109,14 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Enqueue a request. Blocks while the queue is at capacity
-  /// (backpressure); throws irf::ConfigError on a null design.
+  /// (backpressure) unless the request sheds a lower-priority one; throws
+  /// irf::ConfigError on a null design.
   Ticket submit(AnalysisRequest request);
-
-  /// Non-blocking submit: nullopt when the queue is full.
-  std::optional<Ticket> try_submit(AnalysisRequest request);
 
   /// Synchronous convenience: copies the design, submits, waits. Examples
   /// and tools use this; throughput-sensitive callers should submit shared
   /// designs asynchronously instead.
   AnalysisResult analyze(const pg::PgDesign& design);
-
-  /// Cancel a queued request by ticket id. True when the request was still
-  /// queued (its future will resolve kCancelled); false when it already
-  /// left the queue.
-  bool cancel(std::uint64_t id);
 
   /// Pause/resume dispatch. Requests keep queueing while paused (deadlines
   /// keep ticking — a paused engine can time requests out). Pausing right
@@ -133,13 +126,12 @@ class Engine {
   void resume();
 
   bool has_model() const { return pipeline_.has_value(); }
-  const core::IrFusionPipeline* pipeline() const {
-    return pipeline_ ? &*pipeline_ : nullptr;
-  }
-  const EngineOptions& options() const { return options_; }
 
   EngineStats stats() const;
   int queue_depth() const;
+  /// Drop every cached entry. Safe on any thread while requests are in
+  /// flight: a request that already picked its warm donor still finishes
+  /// warm, and cache_bytes stays the sum over the entries still cached.
   void clear_cache();
 
   /// Flight-recorder JSON dump on demand: returns the document and, when
@@ -161,19 +153,13 @@ class Engine {
     Clock::time_point deadline = Clock::time_point::max();
     double submit_unix_seconds = 0.0;  ///< wall-clock anchor for the trace context
     int queue_depth_at_admission = 0;  ///< queue size right after this push
-    bool cancelled = false;  ///< guarded by mutex_
   };
 
   struct CacheEntry;
   void start();
   void run_dispatcher();
-  /// Shared enqueue path behind submit()/try_submit(): one mutex_
-  /// acquisition covering the admission decision AND the push, so the
-  /// non-blocking caller can never be parked on space_cv_ by a producer
-  /// that slipped in between a capacity check and the enqueue.
-  std::optional<Ticket> submit_impl(AnalysisRequest request, bool blocking);
-  /// Resolve an accepted-but-not-served request (shed victim, shutdown
-  /// cancel). Counts submitted+completed exactly once each.
+  /// Resolve an accepted-but-not-served request (shed victim, or queued at
+  /// shutdown). Counts submitted+completed exactly once each.
   void fulfil_without_service(const std::shared_ptr<Pending>& pending,
                               ResultStatus status, const char* error);
 
@@ -193,6 +179,13 @@ class Engine {
                                          std::uint64_t topology_hash,
                                          const std::shared_ptr<CacheEntry>& base,
                                          AnalysisResult& result);
+  /// Count a rejected or failed warm build (stats, counter, flight record,
+  /// auto-dump); the caller then builds cold.
+  void warm_fallback(std::uint64_t req_id, const std::string& reason);
+  /// Size a freshly built entry, count the miss (and the warm hit), cache it
+  /// under `content_hash` and evict down to the budget.
+  void insert_entry(std::uint64_t content_hash, const std::shared_ptr<CacheEntry>& entry,
+                    bool warm);
   void evict_to_budget();
   void fulfil(Pending& pending, AnalysisResult result);
   /// Auto-dump the flight recorder to options_.flight_dump_path (no-op when
@@ -203,7 +196,7 @@ class Engine {
   std::optional<core::IrFusionPipeline> pipeline_;
 
   // Lock order through the serve path (verified by irf_analyze, see
-  // docs/ANALYSIS.md). submit_impl counts the submission under cache_mutex_
+  // docs/ANALYSIS.md). submit counts the submission under cache_mutex_
   // while still holding the queue mutex, so completed <= submitted holds at
   // every observation point. Nothing called under cache_mutex_ takes a
   // serve, solver or linalg lock (only obs's leaf locks, which take none).
@@ -219,8 +212,9 @@ class Engine {
   std::uint64_t next_id_ = 1;
   std::uint64_t id_step_ = 1;  ///< ticket-id stride (num shards under a Router)
 
-  // Cache + stats are only mutated on the dispatcher thread but read from
-  // callers; guarded by cache_mutex_.
+  // Cache + stats: the dispatcher builds, inserts and evicts entries;
+  // callers' threads count submissions, resolve shed requests, clear the
+  // cache and read stats. Guarded by cache_mutex_.
   mutable std::mutex cache_mutex_;
   std::unordered_map<std::uint64_t, std::shared_ptr<CacheEntry>> cache_;
   std::uint64_t lru_tick_ = 0;

@@ -116,32 +116,11 @@ Engine::Ticket Router::submit(AnalysisRequest request) {
   return target.submit(std::move(request));
 }
 
-std::optional<Engine::Ticket> Router::try_submit(AnalysisRequest request) {
-  if (!request.design) throw ConfigError("serve: request has no design");
-  Engine& target = *shards_[static_cast<std::size_t>(shard_for(*request.design))];
-  return target.try_submit(std::move(request));
-}
-
 AnalysisResult Router::analyze(const pg::PgDesign& design) {
   AnalysisRequest request;
   request.design = std::make_shared<pg::PgDesign>(design);
   Engine::Ticket ticket = submit(std::move(request));
   return ticket.result.get();
-}
-
-bool Router::cancel(std::uint64_t id) {
-  if (id == 0) return false;
-  const std::size_t owner =
-      static_cast<std::size_t>((id - 1) % static_cast<std::uint64_t>(shards_.size()));
-  return shards_[owner]->cancel(id);
-}
-
-void Router::pause() {
-  for (const std::unique_ptr<Engine>& shard : shards_) shard->pause();
-}
-
-void Router::resume() {
-  for (const std::unique_ptr<Engine>& shard : shards_) shard->resume();
 }
 
 EngineStats Router::stats() const {
@@ -172,14 +151,6 @@ EngineStats Router::stats() const {
   return total;
 }
 
-int Router::queue_depth() const {
-  int total = 0;
-  for (const std::unique_ptr<Engine>& shard : shards_) {
-    total += shard->queue_depth();
-  }
-  return total;
-}
-
 Engine& Router::shard(int index) {
   return *shards_.at(static_cast<std::size_t>(index));
 }
@@ -190,10 +161,6 @@ const Engine& Router::shard(int index) const {
 
 bool Router::has_model() const {
   return !shards_.empty() && shards_.front()->has_model();
-}
-
-void Router::clear_cache() {
-  for (const std::unique_ptr<Engine>& shard : shards_) shard->clear_cache();
 }
 
 }  // namespace irf::serve

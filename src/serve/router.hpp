@@ -12,20 +12,19 @@
 /// only partitions the population's working set across shards.
 ///
 /// A request never leaves the shard that admitted it: it is queued,
-/// served, cancelled and counted there. Admission control (priority
-/// classes, shed-lowest-first) is each shard's own
-/// Engine::submit_impl. The Router holds no mutable state and no lock; it
-/// adds Engine-compatible aggregate stats() and the `serve.shard.s<i>.*`
-/// gauges (docs/OBSERVABILITY.md).
+/// served and counted there. Admission control (priority classes,
+/// shed-lowest-first) is each shard's own Engine::submit. The Router holds
+/// no mutable state and no lock; it adds Engine-compatible aggregate
+/// stats() and the `serve.shard.s<i>.*` gauges (docs/OBSERVABILITY.md).
 ///
-/// The Router exposes the same submit/try_submit/analyze/stats/queue_depth
-/// surface as Engine, so callers scale from one engine to N shards by
-/// swapping the type. Ticket ids stay globally unique and name their
+/// The Router offers Engine's submit/analyze/stats/has_model surface, so
+/// callers scale from one engine to N shards by swapping the type; per-shard
+/// control (pause, queue depth, cache) goes through shard(i). Ticket ids
+/// stay globally unique, so a trace tells requests apart, and name their
 /// shard: shard i issues i+1, i+1+N, ...
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -66,25 +65,12 @@ class Router {
   /// control may resolve the ticket immediately as kShed).
   Engine::Ticket submit(AnalysisRequest request);
 
-  /// Non-blocking submit: nullopt when the owning shard's queue is full.
-  std::optional<Engine::Ticket> try_submit(AnalysisRequest request);
-
   /// Synchronous convenience: copies the design, submits, waits.
   AnalysisResult analyze(const pg::PgDesign& design);
-
-  /// Cancel by ticket id on the shard that issued it, (id - 1) % N.
-  bool cancel(std::uint64_t id);
-
-  /// Pause/resume dispatch on every shard.
-  void pause();
-  void resume();
 
   /// Engine-compatible counters summed over shards (also refreshes the
   /// serve.shard.* gauges). shard(i).stats() gives one shard's share.
   EngineStats stats() const;
-
-  /// Total queued requests across shards.
-  int queue_depth() const;
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
@@ -92,12 +78,12 @@ class Router {
   /// pin affinity; stable for the Router's lifetime.
   int shard_for(const pg::PgDesign& design) const;
 
-  /// Direct access to one shard (tests, per-shard flight dumps).
+  /// Direct access to one shard (pause/resume, queue depth, cache, per-shard
+  /// flight dumps).
   Engine& shard(int index);
   const Engine& shard(int index) const;
 
   bool has_model() const;
-  void clear_cache();
 
  private:
   void wire_shards();

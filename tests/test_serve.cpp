@@ -2,7 +2,7 @@
 // bit-identically, the engine's cached + batched path matches a direct
 // IrFusionPipeline::analyze() call exactly, the per-design cache hits and
 // LRU-evicts under a byte budget, and the robustness paths (degraded
-// fallback, timeout, cancellation) resolve with the right status. The
+// fallback, timeout, shedding, shutdown) resolve with the right status. The
 // test_serve_threads4 ctest entry re-runs this suite with IRF_THREADS=4 to
 // pin the "bit-identical for any pool width" half of the contract.
 
@@ -285,22 +285,43 @@ TEST(EngineOptionsValidation, RejectsBadOptions) {
   EXPECT_THROW(Engine{opts}, ConfigError);
 }
 
+/// Distinct-topology designs (random blockages perturb the grid). Fake
+/// designs of one size all share a topology hash: an engine serves each one
+/// after the first warm, and a router puts them all on one shard.
+std::vector<std::shared_ptr<pg::PgDesign>> distinct_topology_designs(int n) {
+  std::vector<std::shared_ptr<pg::PgDesign>> designs;
+  std::vector<std::uint64_t> seen;
+  for (int seed = 0; static_cast<int>(designs.size()) < n && seed < 200; ++seed) {
+    Rng rng(500 + seed);
+    auto d = std::make_shared<pg::PgDesign>(
+        pg::generate_real_design(32, rng, "router_" + std::to_string(seed)));
+    const std::uint64_t h = design_topology_hash(*d);
+    if (std::find(seen.begin(), seen.end(), h) != seen.end()) continue;
+    seen.push_back(h);
+    designs.push_back(std::move(d));
+  }
+  return designs;
+}
+
 // --- engine: correctness ---------------------------------------------------
 
 TEST_F(ServeFixture, EngineMatchesDirectAnalyzeAcrossABatch) {
-  EngineOptions opts;
-  // Generated fake designs of one size share a topology, so incremental
-  // re-analysis would engage between them; this test pins the cold path's
-  // bit-identity contract, so warm starts are off.
-  opts.enable_warm_start = false;
-  auto engine = Engine::from_checkpoint(*checkpoint_path_, opts);
+  auto engine = Engine::from_checkpoint(*checkpoint_path_);
   ASSERT_TRUE(engine->has_model());
   engine->pause();  // force all requests into one dispatch batch
 
-  std::vector<Engine::Ticket> tickets;
+  // Generated fake designs of one size share a topology, so a second one
+  // would be served warm; this test pins the cold path's bit-identity
+  // contract, so every design in the batch has a topology of its own.
+  const auto cold = distinct_topology_designs(5);
+  ASSERT_EQ(cold.size(), 5u);
   std::vector<const pg::PgDesign*> designs;
-  for (const train::PreparedDesign& p : set_->train) designs.push_back(p.design.get());
+  for (const auto& d : cold) designs.push_back(d.get());
   designs.push_back(&test_design());
+  std::set<std::uint64_t> topologies;
+  for (const pg::PgDesign* d : designs) topologies.insert(design_topology_hash(*d));
+  ASSERT_EQ(topologies.size(), designs.size());
+  std::vector<Engine::Ticket> tickets;
   for (const pg::PgDesign* d : designs) {
     AnalysisRequest request;
     request.design = std::make_shared<pg::PgDesign>(*d);
@@ -312,6 +333,7 @@ TEST_F(ServeFixture, EngineMatchesDirectAnalyzeAcrossABatch) {
   for (std::size_t i = 0; i < tickets.size(); ++i) {
     AnalysisResult r = tickets[i].result.get();
     ASSERT_TRUE(r.ok()) << status_name(r.status) << ": " << r.error;
+    EXPECT_FALSE(r.warm_start) << designs[i]->name;
     EXPECT_EQ(r.batch_size, static_cast<int>(designs.size()));
     EXPECT_EQ(r.design_hash, design_content_hash(*designs[i]));
     // The batched forward must be bit-identical to the serial pipeline.
@@ -349,11 +371,12 @@ TEST_F(ServeFixture, EngineCachesPerDesignState) {
 TEST_F(ServeFixture, EngineEvictsLeastRecentlyUsedUnderBudget) {
   EngineOptions opts;
   opts.cache_budget_bytes = 1;  // every second distinct design must evict
-  opts.enable_warm_start = false;  // pin the cold rebuild's bit-identity
   auto engine = Engine::from_checkpoint(*checkpoint_path_, opts);
-  ASSERT_GE(set_->train.size(), 2u);
+  // A fake and a real design: distinct topologies, so the evicted design
+  // comes back through the cold rebuild, whose bit-identity is pinned here.
   const pg::PgDesign& a = *set_->train[0].design;
-  const pg::PgDesign& b = *set_->train[1].design;
+  const pg::PgDesign& b = test_design();
+  ASSERT_NE(design_topology_hash(a), design_topology_hash(b));
   EXPECT_TRUE(engine->analyze(a).ok());
   EXPECT_TRUE(engine->analyze(b).ok());
   const EngineStats stats = engine->stats();
@@ -362,6 +385,7 @@ TEST_F(ServeFixture, EngineEvictsLeastRecentlyUsedUnderBudget) {
   // The evicted design is rebuilt, and identically so.
   AnalysisResult again = engine->analyze(a);
   EXPECT_FALSE(again.cache_hit);
+  EXPECT_FALSE(again.warm_start);
   EXPECT_EQ(again.ir_drop.data(), pipeline_->analyze(a).data());
 }
 
@@ -492,18 +516,6 @@ TEST_F(ServeFixture, WarmStartIgnoresTopologyChanges) {
   EXPECT_EQ(r.ir_drop.data(), pipeline_->analyze(grown).data());
 }
 
-TEST_F(ServeFixture, WarmStartCanBeDisabled) {
-  EngineOptions opts;
-  opts.enable_warm_start = false;
-  auto engine = Engine::from_checkpoint(*checkpoint_path_, opts);
-  const pg::PgDesign& base = *set_->train[0].design;
-  ASSERT_TRUE(engine->analyze(base).ok());
-  AnalysisResult r = engine->analyze(scaled_current_copy(base, 1.07));
-  ASSERT_TRUE(r.ok());
-  EXPECT_FALSE(r.warm_start);
-  EXPECT_EQ(engine->stats().warm_hits, 0u);
-}
-
 TEST_F(ServeFixture, WarmBuildSurvivesEvictionPressure) {
   EngineOptions opts;
   opts.cache_budget_bytes = 1;  // every insertion evicts the older entry
@@ -576,23 +588,6 @@ TEST(EngineRobustness, QueuedRequestTimesOut) {
   EXPECT_EQ(engine.stats().timeouts, 1u);
 }
 
-TEST(EngineRobustness, QueuedRequestCanBeCancelled) {
-  Rng rng(15);
-  auto design = std::make_shared<pg::PgDesign>(
-      pg::generate_fake_design(32, rng, "cancel"));
-  Engine engine{EngineOptions{}};
-  engine.pause();
-  AnalysisRequest request;
-  request.design = design;
-  Engine::Ticket ticket = engine.submit(std::move(request));
-  EXPECT_TRUE(engine.cancel(ticket.id));
-  EXPECT_FALSE(engine.cancel(ticket.id + 999));  // unknown id
-  engine.resume();
-  AnalysisResult r = ticket.result.get();
-  EXPECT_EQ(r.status, ResultStatus::kCancelled);
-  EXPECT_EQ(engine.stats().cancelled, 1u);
-}
-
 TEST(EngineRobustness, ShutdownResolvesQueuedRequestsAsCancelled) {
   Rng rng(16);
   auto design = std::make_shared<pg::PgDesign>(
@@ -609,28 +604,76 @@ TEST(EngineRobustness, ShutdownResolvesQueuedRequestsAsCancelled) {
   EXPECT_EQ(r.status, ResultStatus::kCancelled);
 }
 
-TEST(EngineRobustness, TrySubmitReportsBackpressure) {
-  Rng rng(17);
-  auto design = std::make_shared<pg::PgDesign>(
-      pg::generate_fake_design(32, rng, "backpressure"));
-  EngineOptions opts;
-  opts.queue_capacity = 1;
-  Engine engine(opts);
-  engine.pause();
-  AnalysisRequest request;
-  request.design = design;
-  std::optional<Engine::Ticket> first = engine.try_submit(request);
-  ASSERT_TRUE(first.has_value());
-  EXPECT_FALSE(engine.try_submit(request).has_value());  // queue full
-  EXPECT_TRUE(engine.cancel(first->id));
-  engine.resume();
-  first->result.get();
-}
-
 TEST(EngineRobustness, NullDesignRejectedAtSubmit) {
   Engine engine{EngineOptions{}};
   EXPECT_THROW(engine.submit(AnalysisRequest{}), ConfigError);
-  EXPECT_THROW(engine.try_submit(AnalysisRequest{}), ConfigError);
+}
+
+TEST(EngineRobustness, ClearCacheDuringWarmBuildsKeepsByteAccounting) {
+  // clear_cache() runs on the caller's thread, so it can land after the
+  // dispatcher picked a warm candidate and before it took that candidate's
+  // solver. Whatever the interleaving, the byte total must describe what is
+  // cached: zero exactly when nothing is, and never a wrapped size_t.
+  Rng rng(43);
+  const pg::PgDesign base = pg::generate_fake_design(32, rng, "clear_race");
+  constexpr int kBatches = 24;
+  constexpr int kBatch = 8;
+  std::vector<std::shared_ptr<pg::PgDesign>> ecos;
+  for (int i = 0; i < kBatches * kBatch; ++i) {
+    ecos.push_back(std::make_shared<pg::PgDesign>(
+        scaled_current_copy(base, 1.0 + 0.01 * (i + 1))));
+  }
+  Engine engine{EngineOptions{}};  // model-less: cold and warm builds, no forward
+  std::atomic<bool> done{false};
+  std::atomic<int> bad_snapshots{0};
+  std::thread clearer([&] {
+    // Clear only after a new warm build landed, so warm builds keep coming
+    // however slow the build (sanitizers). The delay after it cycles in
+    // 2 us steps, so clears land in every phase of the next request: its
+    // hashes, then the few microseconds from candidate scan to solver steal.
+    std::uint64_t seen = 0;
+    for (int clears = 0; !done.load();) {
+      const std::uint64_t warm = engine.stats().warm_hits;
+      if (warm == seen) {
+        std::this_thread::yield();
+        continue;
+      }
+      seen = warm;
+      const auto until = std::chrono::steady_clock::now() +
+                         std::chrono::microseconds(2 * (clears++ % 100));
+      while (std::chrono::steady_clock::now() < until) {
+      }
+      engine.clear_cache();
+    }
+  });
+  std::thread poller([&] {
+    while (!done.load()) {
+      const EngineStats s = engine.stats();
+      if ((s.cache_entries == 0) != (s.cache_bytes == 0) ||
+          s.cache_bytes > (std::size_t{1} << 40)) {
+        ++bad_snapshots;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+  });
+  for (int b = 0; b < kBatches; ++b) {
+    engine.pause();  // one dispatch batch: its lookups run back to back
+    std::vector<Engine::Ticket> tickets;
+    for (int i = 0; i < kBatch; ++i) {
+      AnalysisRequest request;
+      request.design = ecos[b * kBatch + i];
+      tickets.push_back(engine.submit(std::move(request)));
+    }
+    engine.resume();
+    for (Engine::Ticket& t : tickets) {
+      EXPECT_EQ(t.result.get().status, ResultStatus::kDegraded);
+    }
+  }
+  done = true;
+  clearer.join();
+  poller.join();
+  EXPECT_EQ(bad_snapshots.load(), 0);
+  EXPECT_GT(engine.stats().warm_hits, 0u);
 }
 
 // --- request-scoped telemetry ----------------------------------------------
@@ -836,7 +879,6 @@ TEST(EngineCheckpoint, MissingFileDegradesOrThrows) {
   // kDegraded; only an unreadable or corrupt file throws.
   auto engine = Engine::from_checkpoint("/nonexistent/model.irf");
   EXPECT_FALSE(engine->has_model());
-  EXPECT_EQ(engine->pipeline(), nullptr);
   Rng rng(15);
   const AnalysisResult r = engine->analyze(pg::generate_fake_design(32, rng, "nomodel"));
   EXPECT_EQ(r.status, ResultStatus::kDegraded);
@@ -849,41 +891,61 @@ TEST(EngineCheckpoint, MissingFileDegradesOrThrows) {
 
 // --- submit-path regressions (admission, stats accounting, deadlines) ------
 
-TEST(EngineAdmission, TrySubmitNeverBlocksUnderContention) {
-  // Regression: try_submit used to check capacity under the lock, drop it,
-  // and delegate to submit() — a racing producer could take the last slot
-  // in the gap and leave try_submit blocked on space forever. Admission is
-  // now decided inside one critical section: with a full, paused queue,
-  // every concurrent try_submit must come back promptly, and exactly the
-  // queue's capacity may succeed.
+TEST(EngineAdmission, ConcurrentSubmitsAllComplete) {
+  // Eight producers race into the one-slot queue of a paused engine: one is
+  // admitted and seven wait out the backpressure inside submit, all in the
+  // admission critical section. After resume every one is admitted and
+  // served, and no stats observation sees completed overtake submitted.
+  // Nothing may return early before resume(): a producer still blocked in
+  // submit would hang the futures' destructors.
   Rng rng(41);
   auto design = std::make_shared<pg::PgDesign>(
-      pg::generate_fake_design(32, rng, "toctou"));
+      pg::generate_fake_design(32, rng, "contention"));
   EngineOptions opts;
   opts.queue_capacity = 1;
-  Engine engine(opts);
+  Engine engine(opts);  // model-less: every request degrades, cheaply
   engine.pause();
 
   constexpr int kProducers = 8;
-  std::vector<std::future<bool>> producers;
+  std::vector<std::future<Engine::Ticket>> producers;
   for (int i = 0; i < kProducers; ++i) {
     producers.push_back(std::async(std::launch::async, [&engine, design] {
       AnalysisRequest request;
       request.design = design;
-      return engine.try_submit(std::move(request)).has_value();
+      return engine.submit(std::move(request));
     }));
   }
-  int admitted = 0;
-  for (std::future<bool>& f : producers) {
-    // A blocked try_submit shows up as a timeout here instead of hanging
-    // the whole suite.
-    ASSERT_EQ(f.wait_for(std::chrono::seconds(10)), std::future_status::ready)
-        << "try_submit blocked";
-    admitted += f.get() ? 1 : 0;
+  const auto admit_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (engine.queue_depth() == 0 && std::chrono::steady_clock::now() < admit_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(admitted, 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
   EXPECT_EQ(engine.queue_depth(), 1);
-  engine.resume();  // drain the one admitted request through the dtor
+  int blocked = 0;
+  for (std::future<Engine::Ticket>& f : producers) {
+    if (f.wait_for(std::chrono::seconds(0)) == std::future_status::timeout) ++blocked;
+  }
+  EXPECT_EQ(blocked, kProducers - 1);
+
+  engine.resume();
+  const auto drain_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  EngineStats s = engine.stats();
+  while (s.completed < static_cast<std::uint64_t>(kProducers) &&
+         std::chrono::steady_clock::now() < drain_deadline) {
+    EXPECT_LE(s.completed, s.submitted);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    s = engine.stats();
+  }
+  for (std::future<Engine::Ticket>& f : producers) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(10)), std::future_status::ready)
+        << "submit still blocked after resume";
+    Engine::Ticket ticket = f.get();
+    ASSERT_EQ(ticket.result.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+    EXPECT_EQ(ticket.result.get().status, ResultStatus::kDegraded);
+  }
+  s = engine.stats();
+  EXPECT_EQ(s.submitted, static_cast<std::uint64_t>(kProducers));
+  EXPECT_EQ(s.completed, static_cast<std::uint64_t>(kProducers));
 }
 
 TEST(EngineAdmission, ShedsLowestPriorityFirstUnderSaturation) {
@@ -915,23 +977,24 @@ TEST(EngineAdmission, ShedsLowestPriorityFirstUnderSaturation) {
   EXPECT_EQ(normal_t.result.get().status, ResultStatus::kShed);
 
   // With only interactive work queued, an equal-or-lower arrival has no
-  // victim: plain backpressure applies, exactly as before priorities.
-  AnalysisRequest request;
-  request.design = design;
-  request.priority = Priority::kNormal;
-  EXPECT_FALSE(engine.try_submit(std::move(request)).has_value());
+  // victim: plain backpressure applies, exactly as before priorities. The
+  // submit stays blocked until resume() frees a slot.
+  std::future<Engine::Ticket> waiting =
+      std::async(std::launch::async, [&] { return submit_with(Priority::kNormal); });
+  EXPECT_EQ(waiting.wait_for(std::chrono::milliseconds(100)), std::future_status::timeout);
 
   engine.resume();
   EXPECT_EQ(first_i.result.get().status, ResultStatus::kDegraded);
   EXPECT_EQ(second_i.result.get().status, ResultStatus::kDegraded);
+  EXPECT_EQ(waiting.get().result.get().status, ResultStatus::kDegraded);
 
   // Shed results are terminal results: counted as completed exactly once,
   // and the submit that got shed still counts as submitted (the old
   // shutdown-path bug let completed overtake submitted).
   const EngineStats s = engine.stats();
-  EXPECT_EQ(s.submitted, 4u);
+  EXPECT_EQ(s.submitted, 5u);
   EXPECT_EQ(s.shed, 2u);
-  EXPECT_EQ(s.completed, 4u);
+  EXPECT_EQ(s.completed, 5u);
   EXPECT_LE(s.completed, s.submitted);
   EXPECT_EQ(s.served_ok + s.degraded + s.timeouts + s.cancelled + s.failures +
                 s.shed,
@@ -1024,24 +1087,6 @@ TEST(EngineDeadline, CompletedWorkWinsAfterLastDeadlineCheck) {
 
 // --- router: sharded serving ------------------------------------------------
 
-/// Distinct-topology designs (random blockages perturb the grid), so the
-/// router actually spreads them: fake designs of one size all share a
-/// topology hash and would collapse onto a single shard.
-std::vector<std::shared_ptr<pg::PgDesign>> distinct_topology_designs(int n) {
-  std::vector<std::shared_ptr<pg::PgDesign>> designs;
-  std::vector<std::uint64_t> seen;
-  for (int seed = 0; static_cast<int>(designs.size()) < n && seed < 200; ++seed) {
-    Rng rng(500 + seed);
-    auto d = std::make_shared<pg::PgDesign>(
-        pg::generate_real_design(32, rng, "router_" + std::to_string(seed)));
-    const std::uint64_t h = design_topology_hash(*d);
-    if (std::find(seen.begin(), seen.end(), h) != seen.end()) continue;
-    seen.push_back(h);
-    designs.push_back(std::move(d));
-  }
-  return designs;
-}
-
 TEST(RouterValidation, RejectsBadOptions) {
   RouterOptions opts;
   opts.num_shards = 0;
@@ -1051,14 +1096,11 @@ TEST(RouterValidation, RejectsBadOptions) {
 TEST_F(ServeFixture, RouterShardAffinityAndBitIdentity) {
   RouterOptions ropts;
   ropts.num_shards = 2;
-  ropts.engine.enable_warm_start = false;
   auto router = Router::from_checkpoint(*checkpoint_path_, ropts);
   ASSERT_TRUE(router->has_model());
   EXPECT_EQ(router->num_shards(), 2);
 
-  EngineOptions eopts;
-  eopts.enable_warm_start = false;
-  auto reference = Engine::from_checkpoint(*checkpoint_path_, eopts);
+  auto reference = Engine::from_checkpoint(*checkpoint_path_);
 
   const auto designs = distinct_topology_designs(4);
   ASSERT_GE(designs.size(), 2u);
@@ -1093,7 +1135,6 @@ TEST_F(ServeFixture, RouterShardAffinityAndBitIdentity) {
 TEST_F(ServeFixture, RouterKeepsRequestsOnAPausedOwner) {
   RouterOptions ropts;
   ropts.num_shards = 2;
-  ropts.engine.enable_warm_start = false;
   auto router = Router::from_checkpoint(*checkpoint_path_, ropts);
 
   const auto designs = distinct_topology_designs(1);
@@ -1102,9 +1143,7 @@ TEST_F(ServeFixture, RouterKeepsRequestsOnAPausedOwner) {
   const int owner = router->shard_for(*design);
   const int sibling = 1 - owner;
 
-  EngineOptions eopts;
-  eopts.enable_warm_start = false;
-  auto reference = Engine::from_checkpoint(*checkpoint_path_, eopts);
+  auto reference = Engine::from_checkpoint(*checkpoint_path_);
   const GridF expected = reference->analyze(*design).ir_drop;
 
   // Pause the owning shard and back its queue up. An idle sibling must not
@@ -1165,6 +1204,7 @@ TEST(RouterShardStats, AggregateMatchesPerShardBreakdown) {
     const EngineStats s = router.shard(i).stats();
     // A request never changes shards, so the invariant holds per shard.
     EXPECT_LE(s.completed, s.submitted) << "shard " << i;
+    EXPECT_EQ(router.shard(i).queue_depth(), 0) << "shard " << i;
     sum.submitted += s.submitted;
     sum.completed += s.completed;
     sum.degraded += s.degraded;
@@ -1179,27 +1219,26 @@ TEST(RouterShardStats, AggregateMatchesPerShardBreakdown) {
   EXPECT_EQ(total.submitted, tickets.size());
   EXPECT_EQ(total.completed, tickets.size());
   EXPECT_LE(total.completed, total.submitted);
-  EXPECT_EQ(router.queue_depth(), 0);
 }
 
-TEST(RouterRobustness, CancelByIdOnOwningShard) {
+TEST(RouterRobustness, TicketIdNamesTheAdmittingShard) {
   RouterOptions ropts;
   ropts.num_shards = 2;
-  Router router(ropts);
-  router.pause();
-  const auto designs = distinct_topology_designs(2);
-  ASSERT_GE(designs.size(), 1u);
-  AnalysisRequest request;
-  request.design = designs.front();
-  Engine::Ticket ticket = router.submit(std::move(request));
-  // The id names the admitting shard, which is the design's home shard.
-  const int owner = router.shard_for(*designs.front());
-  EXPECT_EQ(static_cast<int>((ticket.id - 1) % 2), owner);
-  EXPECT_EQ(router.shard(owner).queue_depth(), 1);
-  EXPECT_TRUE(router.cancel(ticket.id));
-  EXPECT_FALSE(router.cancel(ticket.id + 12345));
-  router.resume();
-  EXPECT_EQ(ticket.result.get().status, ResultStatus::kCancelled);
+  Router router(ropts);  // model-less: every request degrades, cheaply
+  const auto designs = distinct_topology_designs(4);
+  ASSERT_GE(designs.size(), 2u);
+  for (const auto& d : designs) {
+    const int owner = router.shard_for(*d);
+    const std::uint64_t before = router.shard(owner).stats().submitted;
+    AnalysisRequest request;
+    request.design = d;
+    Engine::Ticket ticket = router.submit(std::move(request));
+    // Shard i issues ids i+1, i+1+N, ...: the id names the design's home
+    // shard, which admitted, served and counted the request.
+    EXPECT_EQ(static_cast<int>((ticket.id - 1) % 2), owner);
+    EXPECT_EQ(ticket.result.get().status, ResultStatus::kDegraded);
+    EXPECT_EQ(router.shard(owner).stats().submitted, before + 1);
+  }
 }
 
 }  // namespace

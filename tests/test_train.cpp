@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -124,12 +125,23 @@ TEST_F(TrainFixture, PredictVoltsBatchMatchesOneSampleCalls) {
   Rng rng(8);
   const int ch = view_channel_count(samples_->front(), FeatureView::kFusionHier);
   auto model = models::make_ir_fusion_net(ch, 4, rng);
+  // UNet zero-fills its head, so an untrained model predicts exactly 0 for
+  // any input; weights in every zero parameter make each map depend on
+  // every kernel.
+  for (nn::Tensor p : model->parameters()) {
+    for (float& v : p.data()) {
+      if (v == 0.0f) v = static_cast<float>(rng.normal(0.0, 0.1));
+    }
+  }
   const std::vector<const Sample*> batch = {&(*samples_)[0], &(*samples_)[1],
                                             &(*samples_)[2]};
   const std::vector<GridF> batched =
       predict_volts(*model, batch, FeatureView::kFusionHier, norm);
   ASSERT_EQ(batched.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
+    const std::vector<float>& map = batched[i].data();
+    EXPECT_TRUE(std::any_of(map.begin(), map.end(), [](float v) { return v != 0.0f; }))
+        << "sample " << i << " has an all-zero map";
     const std::vector<GridF> single =
         predict_volts(*model, {batch[i]}, FeatureView::kFusionHier, norm);
     ASSERT_EQ(single.size(), 1u);
