@@ -22,14 +22,13 @@
 //    the gap is parallelism: two dispatchers serve independent batches at
 //    once, while one dispatcher's pool worker speeds up little at these
 //    grid sizes. On a 4-vCPU host (three runs, IRF_THREADS=1) the thrashing
-//    baseline had p50 0.5-0.9 s, the equal-budget engine 12-49 ms and the
-//    2-shard router 4.7-5.2 ms.
+//    baseline had p50 1.0-1.5 s, the equal-budget engine 6-41 ms and the
+//    2-shard router 2.9-3.0 ms.
 //
 // The offered rate is calibrated between the measured single-shard and
 // two-shard capacities (geometric mean), so the baseline saturates while
 // the sharded configs keep headroom; the same pre-generated arrival
-// schedule, design sequence and priority mix are replayed against every
-// configuration.
+// schedule and design sequence are replayed against every configuration.
 //
 // Latency is anchored at the SCHEDULED arrival, not the actual submit: a
 // submitter stalled by backpressure counts the stall into every later
@@ -86,7 +85,6 @@ struct Entry {
   double queue_wait_p50_seconds = 0.0;  ///< StageTimings::queue_wait_seconds
   double queue_wait_p99_seconds = 0.0;
   double cache_hit_rate = 0.0;
-  std::uint64_t shed = 0;
   std::uint64_t evictions = 0;
   int served = 0;
   double throughput_over_single = 0.0;  ///< throughput / single-shard throughput
@@ -186,13 +184,12 @@ double measure_capacity(Router& router,
   return n / std::max(sw.seconds(), 1e-9);
 }
 
-/// One open-loop measured configuration: replay the arrival schedule +
-/// priority mix against a fresh router with `shards` shards, each holding
+/// One open-loop measured configuration: replay the arrival schedule
+/// against a fresh router with `shards` shards, each holding
 /// `budget_bytes`, at the current pool width.
 Entry run_config(const std::string& checkpoint, int shards, std::size_t budget_bytes,
                  const std::vector<std::shared_ptr<const pg::PgDesign>>& designs,
-                 const std::vector<double>& schedule,
-                 const std::vector<Priority>& priorities, double offered_rps) {
+                 const std::vector<double>& schedule, double offered_rps) {
   std::unique_ptr<Router> router =
       Router::from_checkpoint(checkpoint, router_options(shards, budget_bytes));
 
@@ -212,7 +209,6 @@ Entry run_config(const std::string& checkpoint, int shards, std::size_t budget_b
                     std::chrono::duration<double>(schedule[static_cast<std::size_t>(i)])));
     AnalysisRequest request;
     request.design = designs[static_cast<std::size_t>(i) % designs.size()];
-    request.priority = priorities[static_cast<std::size_t>(i)];
     tickets.push_back(router->submit(std::move(request)));
     // Open-loop accounting: how late backpressure made this submission.
     submit_delay[static_cast<std::size_t>(i)] = std::max(
@@ -233,7 +229,7 @@ Entry run_config(const std::string& checkpoint, int shards, std::size_t budget_b
   queue_waits.reserve(tickets.size());
   for (std::size_t i = 0; i < tickets.size(); ++i) {
     AnalysisResult r = tickets[i].result.get();
-    if (!r.has_map()) continue;  // shed/failed requests deliver no map
+    if (!r.has_map()) continue;  // failed requests deliver no map
     ++e.served;
     latencies.push_back(submit_delay[i] + r.stages.total_seconds);
     queue_waits.push_back(r.stages.queue_wait_seconds);
@@ -256,7 +252,6 @@ Entry run_config(const std::string& checkpoint, int shards, std::size_t budget_b
   const std::uint64_t lookups = total.cache_hits + total.cache_misses;
   e.cache_hit_rate =
       lookups > 0 ? static_cast<double>(total.cache_hits) / lookups : 0.0;
-  e.shed = total.shed;
   e.evictions = total.cache_evictions;
   if (total.completed > total.submitted) std::abort();  // stats invariant
   return e;
@@ -289,7 +284,7 @@ void write_json(const std::vector<Entry>& entries, double c1_rps, double c2_rps,
       << ", \"queue_wait_p50_seconds\": " << obs::json_number(e.queue_wait_p50_seconds)
       << ", \"queue_wait_p99_seconds\": " << obs::json_number(e.queue_wait_p99_seconds)
       << ", \"cache_hit_rate\": " << obs::json_number(e.cache_hit_rate)
-      << ", \"shed\": " << e.shed << ", \"evictions\": " << e.evictions
+      << ", \"evictions\": " << e.evictions
       << ", \"throughput_over_single\": " << obs::json_number(e.throughput_over_single)
       << ", \"p99_over_single\": " << obs::json_number(e.p99_over_single) << "}"
       << (i + 1 < entries.size() ? "," : "") << "\n";
@@ -348,26 +343,20 @@ int main(int argc, char** argv) {
   std::cout << "capacity: 1 shard " << c1 << " req/s, 2 shards " << c2
             << " req/s -> offering " << offered << " req/s\n";
 
-  // One schedule + priority mix, replayed against every configuration.
+  // One schedule, replayed against every configuration.
   std::mt19937_64 rng(7);
   std::exponential_distribution<double> interarrival(offered);
-  std::uniform_int_distribution<int> pct(0, 99);
   std::vector<double> schedule(static_cast<std::size_t>(sz.requests));
-  std::vector<Priority> priorities(static_cast<std::size_t>(sz.requests));
   double t = 0.0;
   for (std::size_t i = 0; i < schedule.size(); ++i) {
     t += interarrival(rng);
     schedule[i] = t;
-    const int p = pct(rng);
-    priorities[i] = p < 10 ? Priority::kInteractive
-                  : p < 20 ? Priority::kBatch
-                           : Priority::kNormal;
   }
 
   std::vector<Entry> entries;
   for (int shards : {1, 2, 4}) {
     entries.push_back(
-        run_config(checkpoint, shards, budget, designs, schedule, priorities, offered));
+        run_config(checkpoint, shards, budget, designs, schedule, offered));
   }
   // Equal-budget, equal-threads comparison for the 2-shard entry: one engine
   // holding both shards' budget, with one extra pool worker standing in for
@@ -375,7 +364,7 @@ int main(int argc, char** argv) {
   const int pool_threads = par::num_threads();
   par::set_num_threads(pool_threads + 1);
   entries.push_back(
-      run_config(checkpoint, 1, 2 * budget, designs, schedule, priorities, offered));
+      run_config(checkpoint, 1, 2 * budget, designs, schedule, offered));
   par::set_num_threads(pool_threads);
 
   const auto single =
@@ -393,16 +382,15 @@ int main(int argc, char** argv) {
   write_json(entries, c1, c2, offered, budget);
 
   std::cout << "shards  budget_KiB  threads   served      req/s     p50_ms     p99_ms"
-               "  qw_p50_ms  qw_p99_ms  hit_rate  evict  shed  tput/1  p99/1\n";
+               "  qw_p50_ms  qw_p99_ms  hit_rate  evict  tput/1  p99/1\n";
   for (const Entry& e : entries) {
-    std::printf("%6d %11.0f %8d %8d %10.1f %10.2f %10.2f %10.2f %10.2f %9.3f %6llu %5llu %7.2f"
+    std::printf("%6d %11.0f %8d %8d %10.1f %10.2f %10.2f %10.2f %10.2f %9.3f %6llu %7.2f"
                 " %6.2f\n",
                 e.shards, e.total_cache_budget_bytes / 1024.0, e.compute_threads,
                 e.served, e.throughput_rps, e.e2e_p50_seconds * 1e3,
                 e.e2e_p99_seconds * 1e3, e.queue_wait_p50_seconds * 1e3,
                 e.queue_wait_p99_seconds * 1e3, e.cache_hit_rate,
-                static_cast<unsigned long long>(e.evictions),
-                static_cast<unsigned long long>(e.shed), e.throughput_over_single,
+                static_cast<unsigned long long>(e.evictions), e.throughput_over_single,
                 e.p99_over_single);
   }
   std::cout << "wrote BENCH_serve_load.json\n";

@@ -49,13 +49,11 @@ using serve::AnalysisResult;
 using serve::Engine;
 using serve::EngineOptions;
 using serve::EngineStats;
-using serve::Priority;
 using serve::ResultStatus;
 using serve::Router;
 using serve::RouterOptions;
 using serve::design_content_hash;
 using serve::load_checkpoint;
-using serve::priority_name;
 using serve::save_checkpoint;
 using serve::status_name;
 

@@ -11,16 +11,6 @@ const char* status_name(ResultStatus status) {
     case ResultStatus::kTimedOut: return "timed_out";
     case ResultStatus::kCancelled: return "cancelled";
     case ResultStatus::kFailed: return "failed";
-    case ResultStatus::kShed: return "shed";
-  }
-  return "unknown";
-}
-
-const char* priority_name(Priority priority) {
-  switch (priority) {
-    case Priority::kBatch: return "batch";
-    case Priority::kNormal: return "normal";
-    case Priority::kInteractive: return "interactive";
   }
   return "unknown";
 }

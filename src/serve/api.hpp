@@ -5,7 +5,7 @@
 /// docs/API.md). Callers build an AnalysisRequest around a PG design, hand
 /// it to an irf::serve::Engine, and receive an AnalysisResult whose status
 /// says exactly where the map came from: the full fusion path, the degraded
-/// numerical-only fallback, or not at all (timeout / shed / shutdown / error).
+/// numerical-only fallback, or not at all (timeout / shutdown / error).
 /// These types are re-exported at the top level by the irf.hpp facade.
 
 #include <cstdint>
@@ -24,25 +24,10 @@ enum class ResultStatus {
   kTimedOut,  ///< deadline expired before the engine finished the request
   kCancelled, ///< still queued when the engine shut down
   kFailed,    ///< hard error; see AnalysisResult::error
-  kShed,      ///< evicted from a full queue by a higher-priority arrival
 };
 
 /// Human-readable status label ("ok", "degraded", ...), for logs and JSON.
 const char* status_name(ResultStatus status);
-
-/// Request priority class for admission control (docs/API.md "Sharded
-/// serving"). Higher values matter more: when the queue is saturated an
-/// arriving request may shed a queued request of a strictly lower class
-/// (shed-lowest-first). Priorities never reorder dispatch — the queue
-/// stays FIFO — they only decide who gets a queue slot under pressure.
-enum class Priority {
-  kBatch = 0,        ///< bulk/offline work; first to be shed
-  kNormal = 1,       ///< default class
-  kInteractive = 2,  ///< latency-sensitive; may displace lower classes
-};
-
-/// Human-readable priority label ("batch", "normal", "interactive").
-const char* priority_name(Priority priority);
 
 /// One unit of serving work. The design is shared ownership: the engine's
 /// per-design cache may keep it alive past the request (cached MNA/AMG
@@ -56,11 +41,6 @@ struct AnalysisRequest {
   /// are checked at stage boundaries — dequeue and pre-inference — so a
   /// timed-out request never occupies a batch slot.
   double timeout_seconds = 0.0;
-
-  /// Admission-control class (see Priority). Under saturation a request of
-  /// a strictly higher class may shed the oldest queued request of the
-  /// lowest class present, which then resolves with kShed.
-  Priority priority = Priority::kNormal;
 };
 
 /// Per-stage wall-clock breakdown of one served request, measured by the
@@ -142,12 +122,6 @@ struct EngineOptions {
   /// and rough solution (docs/API.md "Incremental serving"). This bounds the
   /// resistor value edits that still count as such a delta.
   int max_stamp_edits = 8;
-
-  /// When non-empty, the engine (over)writes the flight-recorder JSON dump
-  /// here every time a request degrades, misses its deadline, falls back
-  /// from warm-start, or trips a CheckError — a post-mortem of the lead-up.
-  /// Engine::dump_flight_recorder() dumps on demand regardless.
-  std::string flight_dump_path;
 };
 
 /// Content hash of a design: geometry, supply, and every netlist element —

@@ -113,8 +113,6 @@ void Engine::start() {
   obs::count("serve.timeouts", 0);
   obs::count("serve.cancelled", 0);
   obs::count("serve.failures", 0);
-  obs::count("serve.shed", 0);
-  obs::count("serve.flight_dumps", 0);
   dispatcher_ = std::thread([this] { run_dispatcher(); });
 }
 
@@ -132,17 +130,13 @@ Engine::~Engine() {
     std::lock_guard<std::mutex> lk(mutex_);
     leftover.swap(queue_);
   }
-  for (const std::shared_ptr<Pending>& p : leftover) {
-    fulfil_without_service(p, ResultStatus::kCancelled, nullptr);
-  }
+  for (const std::shared_ptr<Pending>& p : leftover) fulfil_cancelled(p);
 }
 
-void Engine::fulfil_without_service(const std::shared_ptr<Pending>& pending,
-                                    ResultStatus status, const char* error) {
+void Engine::fulfil_cancelled(const std::shared_ptr<Pending>& pending) {
   AnalysisResult r;
-  r.status = status;
-  if (error) r.error = error;
-  r.design_name = pending->request.design ? pending->request.design->name : "";
+  r.status = ResultStatus::kCancelled;
+  r.design_name = pending->request.design->name;
   fulfil(*pending, std::move(r));
 }
 
@@ -167,37 +161,13 @@ Engine::Ticket Engine::submit(AnalysisRequest request) {
   Ticket ticket;
   ticket.result = pending->promise.get_future();
 
-  const int cls = static_cast<int>(pending->request.priority);
-  std::shared_ptr<Pending> shed_victim;  // evicted by this (higher-class) arrival
   bool shutdown = false;
   {
-    // One lock acquisition covers the whole admission decision (shed or
-    // wait) AND the enqueue.
+    // One lock acquisition covers the backpressure wait AND the enqueue.
     std::unique_lock<std::mutex> lk(mutex_);
-    const auto queue_full = [&] {
-      return queue_.size() >= static_cast<std::size_t>(options_.queue_capacity);
-    };
-    if (!stop_ && queue_full()) {
-      // Shed-lowest-first: a saturated queue admits a higher class by
-      // evicting the oldest queued request of the lowest class present —
-      // but only a class strictly below the arrival's. Equal-class traffic
-      // keeps the plain backpressure semantics.
-      auto victim = queue_.end();
-      for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        if (static_cast<int>((*it)->request.priority) >= cls) continue;
-        if (victim == queue_.end() ||
-            static_cast<int>((*it)->request.priority) <
-                static_cast<int>((*victim)->request.priority)) {
-          victim = it;
-        }
-      }
-      if (victim != queue_.end()) {
-        shed_victim = *victim;
-        queue_.erase(victim);
-      } else {
-        space_cv_.wait(lk, [&] { return stop_ || !queue_full(); });
-      }
-    }
+    space_cv_.wait(lk, [&] {
+      return stop_ || queue_.size() < static_cast<std::size_t>(options_.queue_capacity);
+    });
     pending->id = next_id_;
     next_id_ += id_step_;
     ticket.id = pending->id;
@@ -217,21 +187,12 @@ Engine::Ticket Engine::submit(AnalysisRequest request) {
     }
   }
   obs::count("serve.requests");
-  if (shed_victim) {
-    flight_.record("shed", shed_victim->id, static_cast<double>(cls),
-                   shed_victim->request.design->name);
-    fulfil_without_service(shed_victim, ResultStatus::kShed,
-                           "shed by a higher-priority arrival under saturation");
-  }
   if (shutdown) {
-    fulfil_without_service(pending, ResultStatus::kCancelled, nullptr);
+    fulfil_cancelled(pending);
     return ticket;
   }
   obs::record_histogram("serve.queue.depth_at_admission",
                         static_cast<double>(pending->queue_depth_at_admission));
-  flight_.record("submit", pending->id,
-                 static_cast<double>(pending->queue_depth_at_admission),
-                 pending->request.design->name);
   work_cv_.notify_one();
   return ticket;
 }
@@ -270,24 +231,6 @@ EngineStats Engine::stats() const {
 int Engine::queue_depth() const {
   std::lock_guard<std::mutex> lk(mutex_);
   return static_cast<int>(queue_.size());
-}
-
-std::string Engine::dump_flight_recorder(const std::string& path) const {
-  std::string json = flight_.dump_json();
-  if (!path.empty()) flight_.write_json(path);
-  return json;
-}
-
-void Engine::maybe_dump_flight(const char* reason) {
-  if (options_.flight_dump_path.empty()) return;
-  try {
-    flight_.write_json(options_.flight_dump_path);
-    obs::count("serve.flight_dumps");
-    obs::verbose() << "serve: flight recorder dumped to "
-                   << options_.flight_dump_path << " (" << reason << ")";
-  } catch (const std::exception& e) {
-    obs::info() << "serve: flight-recorder dump failed: " << e.what();
-  }
 }
 
 void Engine::clear_cache() {
@@ -333,8 +276,6 @@ void Engine::fulfil(Pending& pending, AnalysisResult result) {
       (result.status == ResultStatus::kOk ||
        result.status == ResultStatus::kDegraded)) {
     result.deadline_exceeded = true;
-    flight_.record("deadline_exceeded", pending.id, result.stages.total_seconds,
-                   status_name(result.status));
   }
   const double attributed =
       result.stages.queue_wait_seconds + result.stages.batch_form_seconds +
@@ -347,8 +288,6 @@ void Engine::fulfil(Pending& pending, AnalysisResult result) {
                   {"status", static_cast<double>(static_cast<int>(result.status))},
                   {"batch", static_cast<double>(result.batch_size)},
                   {"queue_depth", static_cast<double>(pending.queue_depth_at_admission)}});
-  flight_.record("respond", pending.id, result.stages.total_seconds,
-                 status_name(result.status));
   {
     std::lock_guard<std::mutex> lk(cache_mutex_);
     ++stats_.completed;
@@ -358,7 +297,6 @@ void Engine::fulfil(Pending& pending, AnalysisResult result) {
       case ResultStatus::kTimedOut: ++stats_.timeouts; break;
       case ResultStatus::kCancelled: ++stats_.cancelled; break;
       case ResultStatus::kFailed: ++stats_.failures; break;
-      case ResultStatus::kShed: ++stats_.shed; break;
     }
   }
   switch (result.status) {
@@ -367,7 +305,6 @@ void Engine::fulfil(Pending& pending, AnalysisResult result) {
     case ResultStatus::kTimedOut: obs::count("serve.timeouts"); break;
     case ResultStatus::kCancelled: obs::count("serve.cancelled"); break;
     case ResultStatus::kFailed: obs::count("serve.failures"); break;
-    case ResultStatus::kShed: obs::count("serve.shed"); break;
   }
   pending.promise.set_value(std::move(result));
 }
@@ -445,7 +382,7 @@ std::shared_ptr<Engine::CacheEntry> Engine::build_warm(
   if (!delta.compatible) {
     obs::verbose() << "serve: warm candidate for " << request.design->name
                    << " rejected (" << delta.describe() << "); cold build";
-    warm_fallback(result.req_id, delta.describe());
+    warm_fallback();
     return nullptr;
   }
   // Steal the base entry's solver (MNA + AMG hierarchy). The base entry may
@@ -525,19 +462,17 @@ std::shared_ptr<Engine::CacheEntry> Engine::build_warm(
     // content hits from its sample. The caller rebuilds cold.
     obs::info() << "serve: warm re-analysis of " << request.design->name
                 << " failed (" << e.what() << "); cold rebuild";
-    warm_fallback(result.req_id, e.what());
+    warm_fallback();
     return nullptr;
   }
 }
 
-void Engine::warm_fallback(std::uint64_t req_id, const std::string& reason) {
+void Engine::warm_fallback() {
   {
     std::lock_guard<std::mutex> lk(cache_mutex_);
     ++stats_.warm_fallbacks;
   }
   obs::count("serve.warm_fallbacks");
-  flight_.record("warm_fallback", req_id, 0.0, reason);
-  maybe_dump_flight("warm fallback");
 }
 
 void Engine::insert_entry(std::uint64_t content_hash,
@@ -608,14 +543,9 @@ void Engine::process_batch(std::vector<std::shared_ptr<Pending>> batch) {
     obs::emit_span("serve_queue_wait", "serve", p->enqueued, t0,
                    {{"req_id", static_cast<double>(p->id)},
                     {"queue_depth", static_cast<double>(p->queue_depth_at_admission)}});
-    flight_.record("dequeue", p->id, r.stages.queue_wait_seconds);
     if (t0 > p->deadline) {
       r.status = ResultStatus::kTimedOut;
       r.error = "deadline expired while queued";
-      flight_.record("deadline_missed", p->id, r.stages.queue_wait_seconds, r.error);
-      // Dump before fulfilment: a waiter unblocked by the promise may read
-      // the dump file immediately.
-      maybe_dump_flight("deadline miss");
       fulfil(*p, std::move(r));
       continue;
     }
@@ -635,15 +565,6 @@ void Engine::process_batch(std::vector<std::shared_ptr<Pending>> batch) {
       w.entry = lookup_or_build(w.pending->request, w.result);
       w.result.solver_iterations = w.entry->rough.iterations;
       w.result.solver_final_residual = w.entry->rough.final_relative_residual;
-    } catch (const CheckError& e) {
-      // An invariant tripped inside the numerical stage: preserve the ring
-      // for post-mortem before failing the request like any other error.
-      w.result.status = ResultStatus::kFailed;
-      w.result.error = e.what();
-      flight_.record("check_error", w.result.req_id, 0.0, e.what());
-      maybe_dump_flight("check error");
-      fulfil(*w.pending, std::move(w.result));
-      continue;
     } catch (const std::exception& e) {
       w.result.status = ResultStatus::kFailed;
       w.result.error = e.what();
@@ -655,9 +576,6 @@ void Engine::process_batch(std::vector<std::shared_ptr<Pending>> batch) {
     if (Clock::now() > w.pending->deadline) {
       w.result.status = ResultStatus::kTimedOut;
       w.result.error = "deadline expired during numerical stage";
-      flight_.record("deadline_missed", w.result.req_id,
-                     seconds_between(w.pending->enqueued, Clock::now()), w.result.error);
-      maybe_dump_flight("deadline miss");
       fulfil(*w.pending, std::move(w.result));
       continue;
     }
@@ -694,13 +612,6 @@ void Engine::process_batch(std::vector<std::shared_ptr<Pending>> batch) {
                         {"batch", static_cast<double>(n)}});
       }
       obs::set_gauge("serve.batch.last_size", static_cast<double>(n));
-    } catch (const CheckError& e) {
-      model_ok = false;
-      model_error = e.what();
-      flight_.record("check_error", 0, static_cast<double>(alive.size()), e.what());
-      maybe_dump_flight("check error");
-      obs::info() << "serve: inference failed (" << model_error
-                  << "); degrading batch of " << alive.size();
     } catch (const std::exception& e) {
       model_ok = false;
       model_error = e.what();
@@ -716,9 +627,7 @@ void Engine::process_batch(std::vector<std::shared_ptr<Pending>> batch) {
       w.result.ir_drop = w.entry->sample.rough_bottom;
       w.result.batch_size = static_cast<int>(alive.size());
       w.result.error = model_error;
-      flight_.record("degraded", w.result.req_id, 0.0, model_error);
     }
-    maybe_dump_flight("degradation");
   }
   for (Work& w : alive) fulfil(*w.pending, std::move(w.result));
 }

@@ -34,9 +34,7 @@
 /// alongside the batch-level serve_batch / serve_infer spans (the model's
 /// own `infer` span nests inside serve_infer). Each AnalysisResult returns
 /// the per-stage latency breakdown (StageTimings) and the solver
-/// convergence behind its rough map. A flight recorder retains the last
-/// 256 engine events and is dumped as JSON on degradation, deadline miss,
-/// warm fallback or CheckError (docs/OBSERVABILITY.md).
+/// convergence behind its rough map (docs/OBSERVABILITY.md).
 
 #include <chrono>
 #include <condition_variable>
@@ -52,7 +50,6 @@
 #include <vector>
 
 #include "core/pipeline.hpp"
-#include "obs/flight.hpp"
 #include "serve/api.hpp"
 
 namespace irf::serve {
@@ -73,7 +70,6 @@ struct EngineStats {
   std::uint64_t timeouts = 0;
   std::uint64_t cancelled = 0;
   std::uint64_t failures = 0;
-  std::uint64_t shed = 0;  ///< evicted by a higher-priority arrival (kShed)
   std::uint64_t batches = 0;
   std::size_t cache_bytes = 0;
   int cache_entries = 0;
@@ -109,8 +105,7 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Enqueue a request. Blocks while the queue is at capacity
-  /// (backpressure) unless the request sheds a lower-priority one; throws
-  /// irf::ConfigError on a null design.
+  /// (backpressure); throws irf::ConfigError on a null design.
   Ticket submit(AnalysisRequest request);
 
   /// Synchronous convenience: copies the design, submits, waits. Examples
@@ -134,11 +129,6 @@ class Engine {
   /// warm, and cache_bytes stays the sum over the entries still cached.
   void clear_cache();
 
-  /// Flight-recorder JSON dump on demand: returns the document and, when
-  /// `path` is non-empty, also writes it there (overwrite; throws
-  /// irf::Error on write failure).
-  std::string dump_flight_recorder(const std::string& path = std::string()) const;
-
  private:
   friend class Router;  // shard wiring: ticket-id striding
 
@@ -158,10 +148,9 @@ class Engine {
   struct CacheEntry;
   void start();
   void run_dispatcher();
-  /// Resolve an accepted-but-not-served request (shed victim, or queued at
-  /// shutdown). Counts submitted+completed exactly once each.
-  void fulfil_without_service(const std::shared_ptr<Pending>& pending,
-                              ResultStatus status, const char* error);
+  /// Resolve an accepted-but-not-served request (queued at shutdown, or
+  /// admitted after it) as kCancelled.
+  void fulfil_cancelled(const std::shared_ptr<Pending>& pending);
 
   /// Router hook: stride the ticket-id sequence so ids are unique across
   /// shards and encode the admitting shard: shard i issues i+1, i+1+n, ...
@@ -179,18 +168,15 @@ class Engine {
                                          std::uint64_t topology_hash,
                                          const std::shared_ptr<CacheEntry>& base,
                                          AnalysisResult& result);
-  /// Count a rejected or failed warm build (stats, counter, flight record,
-  /// auto-dump); the caller then builds cold.
-  void warm_fallback(std::uint64_t req_id, const std::string& reason);
+  /// Count a rejected or failed warm build (stats and counter); the caller
+  /// then builds cold.
+  void warm_fallback();
   /// Size a freshly built entry, count the miss (and the warm hit), cache it
   /// under `content_hash` and evict down to the budget.
   void insert_entry(std::uint64_t content_hash, const std::shared_ptr<CacheEntry>& entry,
                     bool warm);
   void evict_to_budget();
   void fulfil(Pending& pending, AnalysisResult result);
-  /// Auto-dump the flight recorder to options_.flight_dump_path (no-op when
-  /// unset; export failures are logged, never thrown into the serve path).
-  void maybe_dump_flight(const char* reason);
 
   EngineOptions options_;
   std::optional<core::IrFusionPipeline> pipeline_;
@@ -213,14 +199,12 @@ class Engine {
   std::uint64_t id_step_ = 1;  ///< ticket-id stride (num shards under a Router)
 
   // Cache + stats: the dispatcher builds, inserts and evicts entries;
-  // callers' threads count submissions, resolve shed requests, clear the
-  // cache and read stats. Guarded by cache_mutex_.
+  // callers' threads count submissions, clear the cache and read stats.
+  // Guarded by cache_mutex_.
   mutable std::mutex cache_mutex_;
   std::unordered_map<std::uint64_t, std::shared_ptr<CacheEntry>> cache_;
   std::uint64_t lru_tick_ = 0;
   EngineStats stats_;
-
-  obs::FlightRecorder flight_;  ///< FlightRecorder::kDefaultCapacity events
 
   std::thread dispatcher_;
 };

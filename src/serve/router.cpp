@@ -52,10 +52,9 @@ Router::Router(core::IrFusionPipeline pipeline, RouterOptions options)
   shards_.reserve(static_cast<std::size_t>(options_.num_shards));
   for (int i = 0; i + 1 < options_.num_shards; ++i) {
     shards_.push_back(
-        std::make_unique<Engine>(clone_fitted(pipeline), shard_options(i)));
+        std::make_unique<Engine>(clone_fitted(pipeline), options_.engine));
   }
-  shards_.push_back(std::make_unique<Engine>(
-      std::move(pipeline), shard_options(options_.num_shards - 1)));
+  shards_.push_back(std::make_unique<Engine>(std::move(pipeline), options_.engine));
   wire_shards();
 }
 
@@ -63,7 +62,7 @@ Router::Router(RouterOptions options) : options_(options) {
   validate_router_options(options_);
   shards_.reserve(static_cast<std::size_t>(options_.num_shards));
   for (int i = 0; i < options_.num_shards; ++i) {
-    shards_.push_back(std::make_unique<Engine>(shard_options(i)));
+    shards_.push_back(std::make_unique<Engine>(options_.engine));
   }
   wire_shards();
 }
@@ -76,14 +75,6 @@ std::unique_ptr<Router> Router::from_checkpoint(const std::string& path,
     return std::make_unique<Router>(options);
   }
   return std::make_unique<Router>(load_checkpoint(path), options);
-}
-
-EngineOptions Router::shard_options(int index) const {
-  EngineOptions opts = options_.engine;
-  if (!opts.flight_dump_path.empty() && options_.num_shards > 1) {
-    opts.flight_dump_path += ".s" + std::to_string(index);
-  }
-  return opts;
 }
 
 void Router::wire_shards() {
@@ -139,7 +130,6 @@ EngineStats Router::stats() const {
     total.timeouts += s.timeouts;
     total.cancelled += s.cancelled;
     total.failures += s.failures;
-    total.shed += s.shed;
     total.batches += s.batches;
     total.cache_bytes += s.cache_bytes;
     total.cache_entries += s.cache_entries;

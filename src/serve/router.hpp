@@ -12,10 +12,10 @@
 /// only partitions the population's working set across shards.
 ///
 /// A request never leaves the shard that admitted it: it is queued,
-/// served and counted there. Admission control (priority classes,
-/// shed-lowest-first) is each shard's own Engine::submit. The Router holds
-/// no mutable state and no lock; it adds Engine-compatible aggregate
-/// stats() and the `serve.shard.s<i>.*` gauges (docs/OBSERVABILITY.md).
+/// served and counted there. Admission (FIFO with blocking backpressure) is
+/// each shard's own Engine::submit. The Router holds no mutable state and
+/// no lock; it adds Engine-compatible aggregate stats() and the
+/// `serve.shard.s<i>.*` gauges (docs/OBSERVABILITY.md).
 ///
 /// The Router offers Engine's submit/analyze/stats/has_model surface, so
 /// callers scale from one engine to N shards by swapping the type; per-shard
@@ -33,9 +33,7 @@
 namespace irf::serve {
 
 /// Router construction knobs. `engine` is applied to every shard as-is
-/// (cache budgets and queue capacities are PER SHARD; a non-empty
-/// flight_dump_path gets a ".s<i>" suffix per shard so dumps never
-/// clobber each other).
+/// (cache budgets and queue capacities are PER SHARD).
 struct RouterOptions {
   int num_shards = 2;
   EngineOptions engine;
@@ -61,8 +59,7 @@ class Router {
   Router& operator=(const Router&) = delete;
 
   /// Route by design hash and enqueue on the owning shard. Same contract
-  /// as Engine::submit (blocks on that shard's backpressure; admission
-  /// control may resolve the ticket immediately as kShed).
+  /// as Engine::submit (blocks on that shard's backpressure).
   Engine::Ticket submit(AnalysisRequest request);
 
   /// Synchronous convenience: copies the design, submits, waits.
@@ -78,8 +75,7 @@ class Router {
   /// pin affinity; stable for the Router's lifetime.
   int shard_for(const pg::PgDesign& design) const;
 
-  /// Direct access to one shard (pause/resume, queue depth, cache, per-shard
-  /// flight dumps).
+  /// Direct access to one shard (pause/resume, queue depth, cache).
   Engine& shard(int index);
   const Engine& shard(int index) const;
 
@@ -87,7 +83,6 @@ class Router {
 
  private:
   void wire_shards();
-  EngineOptions shard_options(int index) const;
 
   RouterOptions options_;
   std::vector<std::string> shard_queue_gauges_;  ///< serve.shard.s<i>.queue.depth

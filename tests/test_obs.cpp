@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "obs/flight.hpp"
 #include "obs/obs.hpp"
 
 namespace {
@@ -475,57 +474,6 @@ TEST_F(ObsTest, EmitSpanClampsReversedInterval) {
       obs::MetricsRegistry::instance().timer("retro.clamp").stats();
   EXPECT_EQ(s.count, 1u);
   EXPECT_DOUBLE_EQ(s.total_seconds, 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// Flight recorder
-
-TEST_F(ObsTest, FlightRecorderKeepsLastCapacityEvents) {
-  obs::FlightRecorder fr(4);
-  EXPECT_EQ(fr.capacity(), 4u);
-  for (int i = 0; i < 10; ++i) {
-    fr.record("event", static_cast<std::uint64_t>(i), static_cast<double>(i));
-  }
-  const std::vector<obs::FlightRecord> records = fr.records();
-  ASSERT_EQ(records.size(), 4u);
-  EXPECT_EQ(fr.dropped(), 6u);
-  // Oldest-first, holding exactly the newest 4 events.
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(records[static_cast<std::size_t>(i)].req_id,
-              static_cast<std::uint64_t>(6 + i));
-  }
-  // Timestamps are monotonic non-decreasing.
-  for (std::size_t i = 1; i < records.size(); ++i) {
-    EXPECT_GE(records[i].t_seconds, records[i - 1].t_seconds);
-  }
-}
-
-TEST_F(ObsTest, FlightRecorderDumpJsonParsesBack) {
-  obs::FlightRecorder fr(8);
-  fr.record("submit", 1, 0.0, "first");
-  fr.record("degraded", 2, 1.5, "quote \" and \\ backslash");
-  const obs::JsonValue doc = obs::parse_json(fr.dump_json());
-  const obs::JsonValue& body = doc.at("flight_recorder");
-  EXPECT_DOUBLE_EQ(body.at("capacity").number, 8.0);
-  EXPECT_DOUBLE_EQ(body.at("dropped").number, 0.0);
-  EXPECT_TRUE(body.has("wall_anchor_unix_seconds"));
-  const obs::JsonValue& records = body.at("records");
-  ASSERT_EQ(records.array.size(), 2u);
-  EXPECT_EQ(records.array[0].at("event").string, "submit");
-  EXPECT_EQ(records.array[0].at("detail").string, "first");
-  EXPECT_EQ(records.array[1].at("event").string, "degraded");
-  EXPECT_DOUBLE_EQ(records.array[1].at("req_id").number, 2.0);
-  EXPECT_DOUBLE_EQ(records.array[1].at("value").number, 1.5);
-}
-
-TEST_F(ObsTest, FlightRecorderTruncatesDetailAndClears) {
-  obs::FlightRecorder fr(2);
-  fr.record("long", 1, 0.0, std::string(1000, 'x'));
-  ASSERT_EQ(fr.records().size(), 1u);
-  EXPECT_LE(fr.records()[0].detail.size(), 160u);
-  fr.clear();
-  EXPECT_TRUE(fr.records().empty());
-  EXPECT_EQ(fr.dropped(), 0u);
 }
 
 // ---------------------------------------------------------------------------

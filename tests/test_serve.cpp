@@ -2,7 +2,7 @@
 // bit-identically, the engine's cached + batched path matches a direct
 // IrFusionPipeline::analyze() call exactly, the per-design cache hits and
 // LRU-evicts under a byte budget, and the robustness paths (degraded
-// fallback, timeout, shedding, shutdown) resolve with the right status. The
+// fallback, timeout, shutdown) resolve with the right status. The
 // test_serve_threads4 ctest entry re-runs this suite with IRF_THREADS=4 to
 // pin the "bit-identical for any pool width" half of the contract.
 
@@ -553,7 +553,48 @@ TEST_F(ServeFixture, CacheBytesAccountAllRetainedState) {
 
 // --- engine: robustness ----------------------------------------------------
 
+/// RAII guard: enables metrics + tracing with clean buffers, restores the
+/// defaults on exit so the other suites stay telemetry-free.
+struct TelemetryOn {
+  TelemetryOn() {
+    obs::MetricsRegistry::instance().clear();
+    obs::clear_trace_events();
+    obs::set_metrics_enabled(true);
+    obs::set_trace_enabled(true);
+  }
+  ~TelemetryOn() {
+    obs::set_metrics_enabled(false);
+    obs::set_trace_enabled(false);
+    obs::MetricsRegistry::instance().clear();
+    obs::clear_trace_events();
+  }
+};
+
+double span_arg(const obs::TraceEvent& e, const std::string& key, double missing) {
+  for (const auto& [k, v] : e.args) {
+    if (k == key) return v;
+  }
+  return missing;
+}
+
+/// The `status` arg of the serve_request span that carries `req_id`, or -1
+/// when the trace holds no such span.
+double traced_status(std::uint64_t req_id) {
+  for (const obs::TraceEvent& e : obs::trace_events()) {
+    if (e.name == "serve_request" &&
+        span_arg(e, "req_id", -1.0) == static_cast<double>(req_id)) {
+      return span_arg(e, "status", -1.0);
+    }
+  }
+  return -1.0;
+}
+
+std::uint64_t counter_value(const std::string& name) {
+  return obs::MetricsRegistry::instance().counter(name).value();
+}
+
 TEST(EngineDegraded, ModelLessEngineServesRoughMap) {
+  TelemetryOn telemetry;
   Rng rng(11);
   pg::PgDesign design = pg::generate_fake_design(32, rng, "degraded");
   Engine engine{EngineOptions{}};
@@ -568,9 +609,13 @@ TEST(EngineDegraded, ModelLessEngineServesRoughMap) {
   const GridF expected = features::label_map(design, solver.solve_rough(3), 64);
   EXPECT_EQ(r.ir_drop.data(), expected.data());
   EXPECT_EQ(engine.stats().degraded, 1u);
+  // The degradation is on record: the request's span and the counter.
+  EXPECT_EQ(traced_status(r.req_id), static_cast<int>(ResultStatus::kDegraded));
+  EXPECT_EQ(counter_value("serve.degraded"), 1u);
 }
 
 TEST(EngineRobustness, QueuedRequestTimesOut) {
+  TelemetryOn telemetry;
   Rng rng(14);
   auto design = std::make_shared<pg::PgDesign>(
       pg::generate_fake_design(32, rng, "timeout"));
@@ -586,6 +631,10 @@ TEST(EngineRobustness, QueuedRequestTimesOut) {
   EXPECT_EQ(r.status, ResultStatus::kTimedOut);
   EXPECT_FALSE(r.has_map());
   EXPECT_EQ(engine.stats().timeouts, 1u);
+  // The miss is on record: the request's span and the counter.
+  EXPECT_GT(r.req_id, 0u);
+  EXPECT_EQ(traced_status(r.req_id), static_cast<int>(ResultStatus::kTimedOut));
+  EXPECT_EQ(counter_value("serve.timeouts"), 1u);
 }
 
 TEST(EngineRobustness, ShutdownResolvesQueuedRequestsAsCancelled) {
@@ -678,30 +727,6 @@ TEST(EngineRobustness, ClearCacheDuringWarmBuildsKeepsByteAccounting) {
 
 // --- request-scoped telemetry ----------------------------------------------
 
-/// RAII guard: enables metrics + tracing with clean buffers, restores the
-/// defaults on exit so the other suites stay telemetry-free.
-struct TelemetryOn {
-  TelemetryOn() {
-    obs::MetricsRegistry::instance().clear();
-    obs::clear_trace_events();
-    obs::set_metrics_enabled(true);
-    obs::set_trace_enabled(true);
-  }
-  ~TelemetryOn() {
-    obs::set_metrics_enabled(false);
-    obs::set_trace_enabled(false);
-    obs::MetricsRegistry::instance().clear();
-    obs::clear_trace_events();
-  }
-};
-
-double span_arg(const obs::TraceEvent& e, const std::string& key, double missing) {
-  for (const auto& [k, v] : e.args) {
-    if (k == key) return v;
-  }
-  return missing;
-}
-
 TEST_F(ServeFixture, RequestSpansShareOneReqId) {
   TelemetryOn telemetry;
   auto engine = Engine::from_checkpoint(*checkpoint_path_);
@@ -767,76 +792,6 @@ TEST_F(ServeFixture, ReqIdsAreMonotonicAcrossRequests) {
   // A cache hit reports the cached solve's convergence telemetry.
   EXPECT_EQ(b.solver_iterations, a.solver_iterations);
   EXPECT_DOUBLE_EQ(b.solver_final_residual, a.solver_final_residual);
-}
-
-TEST(EngineFlight, DegradedRequestDumpsParseableFlightRecord) {
-  const std::string dump = temp_path("serve_flight_degraded");
-  Rng rng(21);
-  pg::PgDesign design = pg::generate_fake_design(32, rng, "flight");
-  EngineOptions opts;
-  opts.flight_dump_path = dump;
-  Engine engine(opts);  // model-less: every request degrades
-  AnalysisResult r = engine.analyze(design);
-  EXPECT_EQ(r.status, ResultStatus::kDegraded);
-
-  // The auto-dump landed and is valid JSON with the degradation on record.
-  std::ifstream f(dump);
-  ASSERT_TRUE(f.good()) << "flight dump missing: " << dump;
-  std::stringstream buf;
-  buf << f.rdbuf();
-  const obs::JsonValue doc = obs::parse_json(buf.str());
-  const obs::JsonValue& body = doc.at("flight_recorder");
-  EXPECT_GT(body.at("capacity").number, 0.0);
-  bool saw_submit = false, saw_degraded = false;
-  for (const obs::JsonValue& rec : body.at("records").array) {
-    if (rec.at("event").string == "submit") saw_submit = true;
-    if (rec.at("event").string == "degraded" &&
-        rec.at("req_id").number == static_cast<double>(r.req_id)) {
-      saw_degraded = true;
-    }
-  }
-  EXPECT_TRUE(saw_submit);
-  EXPECT_TRUE(saw_degraded);
-  fs::remove(dump);
-
-  // On-demand dump still works and parses.
-  const obs::JsonValue live = obs::parse_json(engine.dump_flight_recorder());
-  EXPECT_FALSE(live.at("flight_recorder").at("records").array.empty());
-}
-
-TEST(EngineFlight, DeadlineMissDumpsFlightRecord) {
-  const std::string dump = temp_path("serve_flight_deadline");
-  Rng rng(22);
-  auto design = std::make_shared<pg::PgDesign>(
-      pg::generate_fake_design(32, rng, "flight_deadline"));
-  EngineOptions opts;
-  opts.flight_dump_path = dump;
-  Engine engine(opts);
-  engine.pause();
-  AnalysisRequest request;
-  request.design = design;
-  request.timeout_seconds = 0.01;
-  Engine::Ticket ticket = engine.submit(std::move(request));
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  engine.resume();
-  AnalysisResult r = ticket.result.get();
-  ASSERT_EQ(r.status, ResultStatus::kTimedOut);
-  EXPECT_GT(r.req_id, 0u);
-
-  std::ifstream f(dump);
-  ASSERT_TRUE(f.good()) << "flight dump missing: " << dump;
-  std::stringstream buf;
-  buf << f.rdbuf();
-  const obs::JsonValue doc = obs::parse_json(buf.str());
-  bool saw_miss = false;
-  for (const obs::JsonValue& rec : doc.at("flight_recorder").at("records").array) {
-    if (rec.at("event").string == "deadline_missed" &&
-        rec.at("req_id").number == static_cast<double>(r.req_id)) {
-      saw_miss = true;
-    }
-  }
-  EXPECT_TRUE(saw_miss);
-  fs::remove(dump);
 }
 
 TEST_F(ServeFixture, TelemetryOnOffIsBitIdentical) {
@@ -948,59 +903,6 @@ TEST(EngineAdmission, ConcurrentSubmitsAllComplete) {
   EXPECT_EQ(s.completed, static_cast<std::uint64_t>(kProducers));
 }
 
-TEST(EngineAdmission, ShedsLowestPriorityFirstUnderSaturation) {
-  Rng rng(42);
-  auto design = std::make_shared<pg::PgDesign>(
-      pg::generate_fake_design(32, rng, "shed"));
-  EngineOptions opts;
-  opts.queue_capacity = 2;
-  Engine engine(opts);
-  engine.pause();
-
-  const auto submit_with = [&](Priority p) {
-    AnalysisRequest request;
-    request.design = design;
-    request.priority = p;
-    return engine.submit(std::move(request));
-  };
-  Engine::Ticket batch_t = submit_with(Priority::kBatch);
-  Engine::Ticket normal_t = submit_with(Priority::kNormal);
-  EXPECT_EQ(engine.queue_depth(), 2);
-
-  // A saturated queue sheds the oldest request of the LOWEST class that is
-  // strictly below the arrival — first the batch request, then the normal.
-  Engine::Ticket first_i = submit_with(Priority::kInteractive);
-  AnalysisResult shed_batch = batch_t.result.get();
-  EXPECT_EQ(shed_batch.status, ResultStatus::kShed);
-  EXPECT_FALSE(shed_batch.has_map());
-  Engine::Ticket second_i = submit_with(Priority::kInteractive);
-  EXPECT_EQ(normal_t.result.get().status, ResultStatus::kShed);
-
-  // With only interactive work queued, an equal-or-lower arrival has no
-  // victim: plain backpressure applies, exactly as before priorities. The
-  // submit stays blocked until resume() frees a slot.
-  std::future<Engine::Ticket> waiting =
-      std::async(std::launch::async, [&] { return submit_with(Priority::kNormal); });
-  EXPECT_EQ(waiting.wait_for(std::chrono::milliseconds(100)), std::future_status::timeout);
-
-  engine.resume();
-  EXPECT_EQ(first_i.result.get().status, ResultStatus::kDegraded);
-  EXPECT_EQ(second_i.result.get().status, ResultStatus::kDegraded);
-  EXPECT_EQ(waiting.get().result.get().status, ResultStatus::kDegraded);
-
-  // Shed results are terminal results: counted as completed exactly once,
-  // and the submit that got shed still counts as submitted (the old
-  // shutdown-path bug let completed overtake submitted).
-  const EngineStats s = engine.stats();
-  EXPECT_EQ(s.submitted, 5u);
-  EXPECT_EQ(s.shed, 2u);
-  EXPECT_EQ(s.completed, 5u);
-  EXPECT_LE(s.completed, s.submitted);
-  EXPECT_EQ(s.served_ok + s.degraded + s.timeouts + s.cancelled + s.failures +
-                s.shed,
-            s.completed);
-}
-
 TEST(EngineRobustness, HugeTimeoutNeverExpires) {
   // Regression: a timeout past what steady_clock can represent (from about
   // 9.2e9 s) overflowed the nanosecond conversion and put the deadline in
@@ -1043,6 +945,13 @@ TEST(EngineStats, TimedOutResultCarriesDispatchBatchSize) {
   AnalysisResult ok = served.result.get();
   ASSERT_EQ(ok.status, ResultStatus::kDegraded);
   EXPECT_EQ(ok.batch_size, 1);  // surviving cohort after the timeout
+
+  // Every completed request lands in exactly one status tally.
+  const EngineStats s = engine.stats();
+  EXPECT_EQ(s.completed, 2u);
+  EXPECT_EQ(s.timeouts, 1u);
+  EXPECT_EQ(s.degraded, 1u);
+  EXPECT_EQ(s.served_ok + s.degraded + s.timeouts + s.cancelled + s.failures, s.completed);
 }
 
 /// A model whose forward outlasts a short deadline: it sleeps 0.4 s and
@@ -1062,7 +971,10 @@ TEST(EngineDeadline, CompletedWorkWinsAfterLastDeadlineCheck) {
   // A deadline that expires after the final pre-inference check does NOT
   // discard the finished map — the result is served with deadline_exceeded
   // set (docs/API.md "Deadlines"). The slow model makes the "expired inside
-  // stage B" window deterministic.
+  // stage B" window deterministic. The design is served once without a
+  // deadline first, so the timed request is a cache hit: its numerical
+  // stage is a hash lookup, and only the 0.4 s forward can overrun the
+  // 0.2 s deadline, however slow the host.
   Rng rng(45);
   auto design = std::make_shared<pg::PgDesign>(
       pg::generate_fake_design(32, rng, "overrun"));
@@ -1070,19 +982,20 @@ TEST(EngineDeadline, CompletedWorkWinsAfterLastDeadlineCheck) {
       tiny_pipeline_config(), train::Normalizer::from_scales({}),
       std::make_unique<SlowModel>()));
 
+  AnalysisRequest relaxed;
+  relaxed.design = design;
+  AnalysisResult first = engine.submit(std::move(relaxed)).result.get();
+  EXPECT_EQ(first.status, ResultStatus::kOk);
+  EXPECT_FALSE(first.deadline_exceeded);
+
   AnalysisRequest request;
   request.design = design;
   request.timeout_seconds = 0.2;
   AnalysisResult r = engine.submit(std::move(request)).result.get();
+  EXPECT_TRUE(r.cache_hit);
   EXPECT_EQ(r.status, ResultStatus::kOk);  // served, not kTimedOut
   EXPECT_TRUE(r.has_map());
   EXPECT_TRUE(r.deadline_exceeded);
-
-  AnalysisRequest relaxed;
-  relaxed.design = design;
-  AnalysisResult r2 = engine.submit(std::move(relaxed)).result.get();
-  EXPECT_EQ(r2.status, ResultStatus::kOk);
-  EXPECT_FALSE(r2.deadline_exceeded);
 }
 
 // --- router: sharded serving ------------------------------------------------

@@ -21,9 +21,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <string>
@@ -107,9 +109,6 @@ const cli::CommandSpec kServeBatchSpec = {
         {"cache-mb", "MB", "per-design cache budget"},
         {"prom-every-seconds", "T",
          "rewrite --prom-out every T seconds while serving (0 = only at exit)"},
-        {"flight-out", "FILE.json",
-         "flight-recorder dump path: auto-dumped on degradation/deadline "
-         "miss/warm fallback, and written once more when serving finishes"},
     }};
 
 const cli::CommandSpec kServeLoadSpec = {
@@ -129,8 +128,6 @@ const cli::CommandSpec kServeLoadSpec = {
         {"batch", "N", "max requests fused into one model forward"},
         {"cache-mb", "MB", "per-shard per-design cache budget"},
         {"timeout-seconds", "T", "per-request deadline (0 = none)"},
-        {"interactive-pct", "P", "percent of requests tagged kInteractive"},
-        {"batch-pct", "P", "percent of requests tagged kBatch (shed first)"},
         {"seed", "S", "arrival-schedule seed"},
     }};
 
@@ -210,6 +207,13 @@ std::vector<std::string> deck_directories(const std::string& dir) {
   return deck_dirs;
 }
 
+/// Engine queue room for four dispatch batches, at least 64. The product is
+/// taken in 64 bits and clamped, so a huge --batch cannot overflow int.
+int queue_capacity_for(int max_batch) {
+  const std::int64_t wanted = std::max<std::int64_t>(64, std::int64_t{max_batch} * 4);
+  return static_cast<int>(std::min<std::int64_t>(wanted, std::numeric_limits<int>::max()));
+}
+
 int cmd_train(const cli::ParsedArgs& args) {
   const std::string dir = args.require("designs");
   const std::string out = args.require("save-model");
@@ -278,11 +282,10 @@ int cmd_serve_batch(const cli::ParsedArgs& args) {
   const std::string dir = args.require("designs");
   EngineOptions opts;
   opts.max_batch = args.flag_int_at_least("batch", 8, 1);
-  opts.queue_capacity = std::max(64, opts.max_batch * 4);
+  opts.queue_capacity = queue_capacity_for(opts.max_batch);
   opts.cache_budget_bytes =
       static_cast<std::size_t>(args.flag_int_at_least("cache-mb", 256, 1)) << 20;
   opts.default_timeout_seconds = args.flag_double("timeout-seconds", 0.0);
-  opts.flight_dump_path = args.flag("flight-out");
   const int repeat = args.flag_int_at_least("repeat", 1, 1);
 
   // Periodic Prometheus snapshots while serving: a scrape-file stand-in for
@@ -376,11 +379,6 @@ int cmd_serve_batch(const cli::ParsedArgs& args) {
               << " misses, " << stats.cache_evictions << " evictions, "
               << stats.cache_bytes / (1024.0 * 1024.0) << " MiB resident";
   if (!out_dir.empty()) obs::info() << "maps written to " << out_dir;
-  const std::string flight_out = args.flag("flight-out");
-  if (!flight_out.empty()) {
-    engine->dump_flight_recorder(flight_out);
-    obs::info() << "flight-recorder dump written to " << flight_out;
-  }
   return other == 0 ? 0 : 1;
 }
 
@@ -389,7 +387,7 @@ int cmd_serve_load(const cli::ParsedArgs& args) {
   RouterOptions ropts;
   ropts.num_shards = args.flag_int_at_least("shards", 2, 1);
   ropts.engine.max_batch = args.flag_int_at_least("batch", 8, 1);
-  ropts.engine.queue_capacity = std::max(64, ropts.engine.max_batch * 4);
+  ropts.engine.queue_capacity = queue_capacity_for(ropts.engine.max_batch);
   ropts.engine.cache_budget_bytes =
       static_cast<std::size_t>(args.flag_int_at_least("cache-mb", 256, 1)) << 20;
   ropts.engine.default_timeout_seconds = args.flag_double("timeout-seconds", 0.0);
@@ -412,11 +410,8 @@ int cmd_serve_load(const cli::ParsedArgs& args) {
 
   const int requests = args.flag_int_at_least("requests", 64, 1);
   const double rate = args.flag_double("rate", 0.0);
-  const int interactive_pct = args.flag_int_at_least("interactive-pct", 10, 0);
-  const int batch_pct = args.flag_int_at_least("batch-pct", 10, 0);
   std::mt19937_64 rng(static_cast<std::uint64_t>(args.flag_int("seed", 1)));
   std::exponential_distribution<double> interarrival(rate > 0.0 ? rate : 1.0);
-  std::uniform_int_distribution<int> pct(0, 99);
 
   obs::info() << "offering " << requests << " requests over " << designs.size()
               << " designs to " << ropts.num_shards << " shard(s)"
@@ -440,10 +435,6 @@ int cmd_serve_load(const cli::ParsedArgs& args) {
     }
     AnalysisRequest request;
     request.design = designs[static_cast<std::size_t>(i) % designs.size()];
-    const int p = pct(rng);
-    request.priority = p < interactive_pct ? Priority::kInteractive
-                       : p < interactive_pct + batch_pct ? Priority::kBatch
-                                                         : Priority::kNormal;
     tickets.push_back(router->submit(std::move(request)));
     submit_delay[static_cast<std::size_t>(i)] = std::max(
         0.0, std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -453,12 +444,11 @@ int cmd_serve_load(const cli::ParsedArgs& args) {
 
   std::vector<double> latencies;
   latencies.reserve(tickets.size());
-  int ok = 0, degraded = 0, shed = 0, other = 0;
+  int ok = 0, degraded = 0, other = 0;
   for (std::size_t i = 0; i < tickets.size(); ++i) {
     AnalysisResult r = tickets[i].result.get();
     if (r.ok()) ++ok;
     else if (r.status == ResultStatus::kDegraded) ++degraded;
-    else if (r.status == ResultStatus::kShed) ++shed;
     else ++other;
     if (r.has_map()) {
       latencies.push_back(submit_delay[i] + r.stages.total_seconds);
@@ -477,12 +467,12 @@ int cmd_serve_load(const cli::ParsedArgs& args) {
   const EngineStats total = router->stats();
   obs::info() << "served " << ok + degraded << "/" << requests << " maps in " << wall
               << " s (" << static_cast<double>(ok + degraded) / std::max(wall, 1e-9)
-              << " req/s): " << ok << " ok, " << degraded << " degraded, " << shed
-              << " shed, " << other << " other";
+              << " req/s): " << ok << " ok, " << degraded << " degraded, " << other
+              << " other";
   obs::info() << "latency from scheduled arrival: p50 " << quantile(0.5) * 1e3
               << " ms, p99 " << quantile(0.99) * 1e3 << " ms";
-  obs::info() << "router: " << total.shed << " shed, " << total.cache_hits
-              << " cache hits / " << total.cache_misses << " misses";
+  obs::info() << "router: " << total.cache_hits << " cache hits / "
+              << total.cache_misses << " misses";
   for (int i = 0; i < router->num_shards(); ++i) {
     const EngineStats s = router->shard(i).stats();
     obs::verbose() << "  shard " << i << ": " << s.submitted << " submitted, "
