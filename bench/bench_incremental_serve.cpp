@@ -111,9 +111,9 @@ struct PassQuantiles {
 };
 
 PassQuantiles capture_quantiles() {
-  const obs::Timer::Stats s =
-      obs::MetricsRegistry::instance().timer("serve_request").stats();
-  return {s.p50_seconds, s.p99_seconds};
+  const obs::Histogram::Snapshot s =
+      obs::MetricsRegistry::instance().timer("serve_request").snapshot();
+  return {s.p50(), s.p99()};
 }
 
 void write_json(const std::vector<Round>& rounds, double speedup,

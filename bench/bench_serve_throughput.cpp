@@ -57,14 +57,14 @@ void reset_latency_timers() {
 }
 
 void fill_quantiles(Entry& e) {
-  const obs::Timer::Stats queue =
-      obs::MetricsRegistry::instance().timer("serve_queue_wait").stats();
-  const obs::Timer::Stats e2e =
-      obs::MetricsRegistry::instance().timer("serve_request").stats();
-  e.queue_p50_seconds = queue.p50_seconds;
-  e.queue_p99_seconds = queue.p99_seconds;
-  e.e2e_p50_seconds = e2e.p50_seconds;
-  e.e2e_p99_seconds = e2e.p99_seconds;
+  const obs::Histogram::Snapshot queue =
+      obs::MetricsRegistry::instance().timer("serve_queue_wait").snapshot();
+  const obs::Histogram::Snapshot e2e =
+      obs::MetricsRegistry::instance().timer("serve_request").snapshot();
+  e.queue_p50_seconds = queue.p50();
+  e.queue_p99_seconds = queue.p99();
+  e.e2e_p50_seconds = e2e.p50();
+  e.e2e_p99_seconds = e2e.p99();
 }
 
 struct Sizes {

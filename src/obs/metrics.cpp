@@ -32,6 +32,15 @@ void atomic_max(std::atomic<double>& slot, double value) {
   }
 }
 
+/// The instrument called `name` in `map`, created on first use. The caller
+/// holds the registry mutex.
+template <typename T>
+T& instrument(std::map<std::string, std::unique_ptr<T>>& map, const std::string& name) {
+  auto& slot = map[name];
+  if (!slot) slot = std::make_unique<T>();
+  return *slot;
+}
+
 }  // namespace
 
 int Histogram::bucket_index(double value) {
@@ -43,17 +52,10 @@ int Histogram::bucket_index(double value) {
   return 1 + static_cast<int>(inner);
 }
 
-double Histogram::bucket_upper_bound(int index) {
-  if (index <= 0) return kMinTracked;
-  if (index >= kNumBuckets - 1) return std::numeric_limits<double>::infinity();
-  return kMinTracked * std::pow(10.0, static_cast<double>(index) / kBucketsPerDecade);
-}
-
 void Histogram::record(double value) {
   if (std::isnan(value)) return;
   buckets_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
   atomic_add(sum_, value);
-  count_.fetch_add(1, std::memory_order_relaxed);
   atomic_min(min_, value);
   atomic_max(max_, value);
 }
@@ -74,7 +76,6 @@ Histogram::Snapshot Histogram::snapshot() const {
 
 void Histogram::reset() {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
   sum_.store(0.0, std::memory_order_relaxed);
   min_.store(std::numeric_limits<double>::infinity(), std::memory_order_relaxed);
   max_.store(-std::numeric_limits<double>::infinity(), std::memory_order_relaxed);
@@ -102,44 +103,6 @@ double Histogram::Snapshot::quantile(double q) const {
   return max;
 }
 
-void Timer::record(double seconds) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stats_.count == 0) {
-      stats_.min_seconds = seconds;
-      stats_.max_seconds = seconds;
-    } else {
-      if (seconds < stats_.min_seconds) stats_.min_seconds = seconds;
-      if (seconds > stats_.max_seconds) stats_.max_seconds = seconds;
-    }
-    ++stats_.count;
-    stats_.total_seconds += seconds;
-  }
-  histogram_.record(seconds);
-}
-
-Timer::Stats Timer::stats() const {
-  Stats out;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    out = stats_;
-  }
-  const Histogram::Snapshot snap = histogram_.snapshot();
-  out.p50_seconds = snap.p50();
-  out.p90_seconds = snap.p90();
-  out.p99_seconds = snap.p99();
-  out.p999_seconds = snap.p999();
-  return out;
-}
-
-void Timer::reset() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats_ = Stats{};
-  }
-  histogram_.reset();
-}
-
 MetricsRegistry& MetricsRegistry::instance() {
   static MetricsRegistry registry;
   return registry;
@@ -147,30 +110,22 @@ MetricsRegistry& MetricsRegistry::instance() {
 
 Counter& MetricsRegistry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
+  return instrument(counters_, name);
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
+  return instrument(gauges_, name);
 }
 
-Timer& MetricsRegistry::timer(const std::string& name) {
+Histogram& MetricsRegistry::timer(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = timers_[name];
-  if (!slot) slot = std::make_unique<Timer>();
-  return *slot;
+  return instrument(timers_, name);
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>();
-  return *slot;
+  return instrument(histograms_, name);
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
@@ -181,7 +136,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   snap.gauges.reserve(gauges_.size());
   for (const auto& [name, g] : gauges_) snap.gauges.emplace_back(name, g->value());
   snap.timers.reserve(timers_.size());
-  for (const auto& [name, t] : timers_) snap.timers.emplace_back(name, t->stats());
+  for (const auto& [name, t] : timers_) snap.timers.emplace_back(name, t->snapshot());
   snap.histograms.reserve(histograms_.size());
   for (const auto& [name, h] : histograms_) {
     snap.histograms.emplace_back(name, h->snapshot());

@@ -2,16 +2,15 @@
 
 /// \file metrics.hpp
 /// Process-wide registry of named counters, gauges, quantile histograms and
-/// timers. Instruments are created lazily on first use and are safe to
-/// update from any thread; the registry survives for the whole process so
-/// exporters (JSON snapshot, summary table, Prometheus text — see obs.hpp)
-/// can read a consistent view at exit or on demand.
+/// timers (histograms of seconds). Instruments are created lazily on first
+/// use and are safe to update from any thread; the registry survives for the
+/// whole process so the JSON snapshot (see obs.hpp) can read a consistent
+/// view at exit or on demand.
 ///
-/// Instrument updates are cheap (an atomic op, or a short mutex hold for
-/// timers) but still avoidable: the free helpers `count()` / `set_gauge()` /
-/// `record_timer()` / `record_histogram()` check `metrics_enabled()` first
-/// so that a process with metrics switched off (IRF_METRICS=0) pays only a
-/// relaxed atomic load.
+/// Instrument updates are cheap (a few relaxed atomic ops) but still
+/// avoidable: the free helpers `count()` / `set_gauge()` / `record_timer()` /
+/// `record_histogram()` check `metrics_enabled()` first so that a process
+/// with metrics switched off (IRF_METRICS=0) pays only a relaxed atomic load.
 
 #include <array>
 #include <atomic>
@@ -53,8 +52,9 @@ class Gauge {
 /// width (10^(1/kBucketsPerDecade) ≈ 26%) regardless of how many samples were
 /// recorded. Recording is lock-free (relaxed atomics) and allocation-free —
 /// cheap enough for per-request latencies on the serve hot path. Values are
-/// unitless; the serving layer records seconds, batch sizes and iteration
-/// counts alike. Non-positive values count into the underflow bucket.
+/// unitless: a timer is a Histogram of seconds, and the serving layer also
+/// records batch sizes and iteration counts. Non-positive values count into
+/// the underflow bucket.
 class Histogram {
  public:
   static constexpr int kBucketsPerDecade = 10;
@@ -85,14 +85,9 @@ class Histogram {
   Snapshot snapshot() const;
   void reset();
 
-  /// Inclusive upper bound of bucket `index` (+inf for the overflow bucket,
-  /// kMinTracked for the underflow bucket). Exposed for exporters.
-  static double bucket_upper_bound(int index);
-
  private:
   static int bucket_index(double value);
 
-  std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
   // +/-inf sentinels until the first record; snapshot() maps empty to 0.
   std::atomic<double> min_{std::numeric_limits<double>::infinity()};
@@ -100,40 +95,11 @@ class Histogram {
   std::array<std::atomic<std::uint64_t>, kNumBuckets> buckets_{};
 };
 
-/// Duration accumulator: count / total / min / max / mean plus latency
-/// quantiles from an embedded log-bucketed Histogram. ScopedSpan (and
-/// emit_span) record into the timer named after the span, so phase timings
-/// (amg_setup vs. pcg_iterate vs. serve_queue_wait ...) aggregate here and
-/// their p50/p90/p99/p999 land in every snapshot.
-class Timer {
- public:
-  struct Stats {
-    std::uint64_t count = 0;
-    double total_seconds = 0.0;
-    double min_seconds = 0.0;
-    double max_seconds = 0.0;
-    double p50_seconds = 0.0;
-    double p90_seconds = 0.0;
-    double p99_seconds = 0.0;
-    double p999_seconds = 0.0;
-    double mean_seconds() const { return count == 0 ? 0.0 : total_seconds / count; }
-  };
-
-  void record(double seconds);
-  Stats stats() const;
-  void reset();
-
- private:
-  mutable std::mutex mutex_;
-  Stats stats_;
-  Histogram histogram_;
-};
-
 /// Point-in-time copy of every instrument, for exporters and tests.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
-  std::vector<std::pair<std::string, Timer::Stats>> timers;
+  std::vector<std::pair<std::string, Histogram::Snapshot>> timers;
   std::vector<std::pair<std::string, Histogram::Snapshot>> histograms;
   bool empty() const {
     return counters.empty() && gauges.empty() && timers.empty() && histograms.empty();
@@ -149,7 +115,9 @@ class MetricsRegistry {
 
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  Timer& timer(const std::string& name);
+  /// Span durations in seconds: ScopedSpan and emit_span record into the
+  /// timer named after the span.
+  Histogram& timer(const std::string& name);
   Histogram& histogram(const std::string& name);
 
   MetricsSnapshot snapshot() const;
@@ -163,7 +131,7 @@ class MetricsRegistry {
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Timer>> timers_;
+  std::map<std::string, std::unique_ptr<Histogram>> timers_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 

@@ -8,16 +8,11 @@
 ///                1 | on   collect spans; caller exports via --trace-out/API
 ///                <path>   collect spans and write Chrome trace JSON to
 ///                         <path> at process exit
-///   IRF_METRICS  unset    metric collection on, no automatic output
-///                0 | off  metric collection off (near-zero overhead)
-///                1 | on   collection on; print the summary table to stderr
-///                         at process exit
-///                <path>   collection on; write the JSON snapshot to <path>
-///                         at process exit
+///   IRF_METRICS  unset | 1 | on   metric collection on, no automatic output
+///                0 | off          metric collection off (near-zero overhead)
+///                <path>           collection on; write the JSON snapshot to
+///                                 <path> at process exit
 ///   IRF_LOG_LEVEL  quiet|normal|verbose (or 0|1|2); default normal
-///   IRF_RESIDUAL_CURVES  unset/0  off (default); 1 | on  attach a bounded
-///                        per-iteration residual curve to solve spans when
-///                        tracing is enabled (see trace.hpp)
 ///
 /// `init_from_env()` is idempotent and cheap after the first call; entry
 /// points (irf_cli, the bench harness via enable_bench_metrics()) call it at
@@ -25,7 +20,6 @@
 /// NOT run as a side effect of irf::resolve_scale_from_env(): common sits
 /// below obs in the layering DAG (tools/analyze/layers.conf).
 
-#include <iosfwd>
 #include <string>
 
 #include "obs/json.hpp"
@@ -51,33 +45,13 @@ std::string chrome_trace_json();
 
 /// Write the metrics snapshot as JSON ({"counters":{},"gauges":{},
 /// "timers":{},"histograms":{}}). Timer entries carry latency quantiles
-/// (p50/p90/p99/p999 seconds) alongside count/total/mean/min/max. Valid
-/// (empty-object) JSON even when nothing was recorded.
+/// (p50/p90/p99/p999 seconds) alongside count/total/mean/min/max. This is
+/// the one metrics export; it is valid (empty-object) JSON even when
+/// nothing was recorded.
 void write_metrics_json(const std::string& path);
 
 /// Serialize the metrics snapshot without touching the filesystem.
 std::string metrics_json();
-
-/// Human-readable metrics table: counters, gauges, histograms, then
-/// per-timer count/total/mean/p50/p99/max sorted by total time descending.
-void print_metrics_summary(std::ostream& out);
-
-/// Serialize the metrics snapshot in Prometheus exposition text format
-/// (https://prometheus.io/docs/instrumenting/exposition_formats/). Names
-/// are prefixed `irf_` with dots mapped to underscores; counters and gauges
-/// export directly, timers as summaries (quantile labels + _sum/_count,
-/// seconds), histograms as cumulative `le` buckets + _sum/_count.
-std::string prometheus_text();
-
-/// prometheus_text() to a file (overwrite). Throws irf::Error when the file
-/// cannot be written.
-void export_prometheus(const std::string& path);
-
-/// Validate `text` against the exposition format line grammar (comments,
-/// `name{labels} value` samples). Returns the number of sample lines;
-/// throws irf::ParseError with a line number on the first malformed line or
-/// the first line longer than 1024 bytes.
-std::size_t check_prometheus_text(const std::string& text);
 
 /// Bench-harness hook: enable metric collection (unless IRF_METRICS=0
 /// explicitly disabled it) and arrange for BENCH_<name>.json to be written

@@ -10,7 +10,6 @@ namespace irf::obs {
 namespace {
 
 std::atomic<bool> g_trace_enabled{false};
-std::atomic<bool> g_residual_curves{false};
 
 std::chrono::steady_clock::time_point trace_epoch() {
   static const std::chrono::steady_clock::time_point epoch =
@@ -68,14 +67,6 @@ void clear_trace_events() {
   buffer().clear();
 }
 
-bool residual_curve_capture() {
-  return g_residual_curves.load(std::memory_order_relaxed);
-}
-
-void set_residual_curve_capture(bool enabled) {
-  g_residual_curves.store(enabled, std::memory_order_relaxed);
-}
-
 void emit_span(const char* name, const char* category,
                std::chrono::steady_clock::time_point start,
                std::chrono::steady_clock::time_point end,
@@ -127,10 +118,6 @@ double ScopedSpan::seconds() const {
 }
 
 void ScopedSpan::add_arg(const char* key, double value) {
-  if (capture_) args_.emplace_back(key, value);
-}
-
-void ScopedSpan::add_arg(const std::string& key, double value) {
   if (capture_) args_.emplace_back(key, value);
 }
 

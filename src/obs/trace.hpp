@@ -6,8 +6,8 @@
 /// span stack and completed spans are collected into a process-wide buffer
 /// that exports as Chrome trace-event JSON (chrome://tracing / Perfetto —
 /// see obs.hpp). Independently of tracing, every completed span records its
-/// duration into the metrics Timer of the same name, so phase timings show
-/// up in the metrics snapshot/summary as well.
+/// duration into the metrics timer of the same name, so phase timings show
+/// up in the metrics snapshot as well.
 ///
 /// Overhead: a span always takes one steady_clock reading at construction
 /// (so callers may use seconds() for result plumbing even when telemetry is
@@ -49,18 +49,11 @@ void clear_trace_events();
 /// Nesting depth of the calling thread's active span stack.
 int current_span_depth();
 
-/// Residual-curve capture gate: when on (and tracing is on), iterative
-/// solvers attach a bounded, downsampled per-iteration residual curve to
-/// their solve span. Off by default — the curve costs trace-buffer space per
-/// solve — and switchable via IRF_RESIDUAL_CURVES=1 (see obs::init_from_env).
-bool residual_curve_capture();
-void set_residual_curve_capture(bool enabled);
-
 /// Emit a completed span retroactively from explicit start/end times, for
 /// intervals that do not wrap code on the calling thread (e.g. a request's
 /// queue wait, measured by the dispatcher after dequeue). Behaves like a
 /// ScopedSpan that ran over [start, end]: records the same-named metrics
-/// Timer (when metrics are on) and captures a trace event with the given
+/// timer (when metrics are on) and captures a trace event with the given
 /// args (when tracing is on).
 void emit_span(const char* name, const char* category,
                std::chrono::steady_clock::time_point start,
@@ -85,7 +78,6 @@ class ScopedSpan {
   /// Attach a numeric annotation exported in the trace event's "args".
   /// No-op unless tracing is enabled.
   void add_arg(const char* key, double value);
-  void add_arg(const std::string& key, double value);
 
  private:
   const char* name_;

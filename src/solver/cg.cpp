@@ -125,22 +125,6 @@ SolveResult preconditioned_cg(const linalg::CsrMatrix& a, const Vec& b,
   solve_span.add_arg("iterations", k);
   solve_span.add_arg("converged", result.converged ? 1.0 : 0.0);
   solve_span.add_arg("final_relative_residual", result.final_relative_residual);
-  // Optional convergence curve (IRF_RESIDUAL_CURVES=1): at most 16 sampled
-  // relative residuals as args keyed r<iteration>, plus the sampling stride,
-  // so a long solve never bloats the trace buffer.
-  if (obs::residual_curve_capture() && !result.residual_history.empty()) {
-    constexpr std::size_t kMaxCurvePoints = 16;
-    const std::size_t n_hist = result.residual_history.size();
-    const std::size_t stride = (n_hist + kMaxCurvePoints - 1) / kMaxCurvePoints;
-    solve_span.add_arg("res_curve_stride", static_cast<double>(stride));
-    for (std::size_t i = 0; i < n_hist; i += stride) {
-      solve_span.add_arg("r" + std::to_string(i), result.residual_history[i] / b_norm);
-    }
-    if ((n_hist - 1) % stride != 0) {
-      solve_span.add_arg("r" + std::to_string(n_hist - 1),
-                         result.residual_history[n_hist - 1] / b_norm);
-    }
-  }
   result.solve_seconds = solve_span.seconds();
   return result;
 }

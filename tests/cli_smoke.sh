@@ -43,27 +43,16 @@ IRF_TRACE="$WORK/env_trace.json" "$CLI" solve "$DECK" --rough-iters 3 --pixels 3
 test -s "$WORK/env_trace.json"
 "$CLI" json-check "$WORK/env_trace.json"
 grep -q '"name":"rough_solve"' "$WORK/env_trace.json"
-# Convergence telemetry always rides the solve span; the residual curve only
-# appears under the IRF_RESIDUAL_CURVES gate.
+# Convergence telemetry always rides the solve span.
 grep -q 'final_relative_residual' "$WORK/env_trace.json"
-if grep -q '"r0"' "$WORK/env_trace.json"; then
-  echo "residual curve captured without IRF_RESIDUAL_CURVES"; exit 1
-fi
-IRF_TRACE="$WORK/env_trace_curve.json" IRF_RESIDUAL_CURVES=1 \
-  "$CLI" solve "$DECK" --rough-iters 3 --pixels 32
-"$CLI" json-check "$WORK/env_trace_curve.json"
-grep -q '"r0"' "$WORK/env_trace_curve.json"
-grep -q 'res_curve_stride' "$WORK/env_trace_curve.json"
 
-echo "== prometheus exposition (--prom-out / prom-check) =="
-"$CLI" solve "$DECK" --rough-iters 3 --pixels 32 --prom-out "$WORK/metrics.prom"
-test -s "$WORK/metrics.prom"
-grep -q '^# TYPE irf_' "$WORK/metrics.prom"
-grep -q 'quantile="0.99"' "$WORK/metrics.prom"
-"$CLI" prom-check "$WORK/metrics.prom"
-if "$CLI" prom-check "$WORK/rough.csv"; then
-  echo "prom-check must reject CSV"; exit 1
+echo "== IRF_METRICS=1 collects with no automatic output =="
+(cd "$WORK" && IRF_METRICS=1 "$CLI" solve "$DECK" --rough-iters 3 --pixels 32 \
+  2> "$WORK/metrics_on.err")
+if test -s "$WORK/metrics_on.err"; then
+  echo "IRF_METRICS=1 must not write to stderr:"; cat "$WORK/metrics_on.err"; exit 1
 fi
+test ! -e "$WORK/1" || { echo "IRF_METRICS=1 must not be taken as a path"; exit 1; }
 
 echo "== quiet mode =="
 OUT=$(IRF_LOG_LEVEL=quiet "$CLI" solve "$DECK" --rough-iters 3 --pixels 32)
@@ -100,17 +89,6 @@ test -s "$WORK/served_degraded/$(basename "$(dirname "$DECK")").csv"
 # The queue is sized off --batch; a batch above INT_MAX / 4 must not
 # overflow that size.
 "$CLI" serve-batch --designs "$WORK/designs" --batch 600000000
-
-echo "== serve-batch periodic prometheus snapshots =="
-"$CLI" serve-batch --load-model "$WORK/model.bin" --designs "$WORK/designs" \
-  --out-dir "$WORK/served_prom" --batch 2 \
-  --prom-out "$WORK/serve.prom" --prom-every-seconds 0.05
-test -s "$WORK/serve.prom"
-"$CLI" prom-check "$WORK/serve.prom"
-grep -q 'irf_serve_request_seconds' "$WORK/serve.prom"
-if "$CLI" serve-batch --designs "$WORK/designs" --prom-every-seconds 0.05; then
-  echo "--prom-every-seconds without --prom-out must fail"; exit 1
-fi
 
 echo "== serve-load (sharded router, open-loop) =="
 "$CLI" serve-load --load-model "$WORK/model.bin" --designs "$WORK/designs" \
@@ -158,16 +136,12 @@ if "$CLI" serve-batch --designs "$WORK/designs" --timeout-seconds ' 0.5'; then
   echo "a blank-led --timeout-seconds must fail"; exit 1
 fi
 if "$CLI" json-check "$WORK/rough.csv"; then echo "json-check must reject CSV"; exit 1; fi
-# Hostile artifacts fail with exit 1 (a parse error), not a crash: a
-# 100000-deep JSON array and a Prometheus line with a 100000-byte label.
+# A hostile artifact fails with exit 1 (a parse error), not a crash: a
+# 100000-deep JSON array.
 awk 'BEGIN { for (i = 0; i < 100000; i++) printf "[";
             for (i = 0; i < 100000; i++) printf "]" }' > "$WORK/deep.json"
 rc=0; "$CLI" json-check "$WORK/deep.json" || rc=$?
 test "$rc" -eq 1 || { echo "json-check on a deep array exited $rc, want 1"; exit 1; }
-awk 'BEGIN { printf "m{a=\""; for (i = 0; i < 100000; i++) printf "x"; print "\"} 1" }' \
-  > "$WORK/long.prom"
-rc=0; "$CLI" prom-check "$WORK/long.prom" || rc=$?
-test "$rc" -eq 1 || { echo "prom-check on a long line exited $rc, want 1"; exit 1; }
 if "$CLI" solve "$DECK" --bogus-flag 1; then echo "unknown flag must fail"; exit 1; fi
 if "$CLI" serve-batch --designs /nonexistent-dir; then
   echo "serve-batch with a bad design dir must fail"; exit 1

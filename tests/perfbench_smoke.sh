@@ -17,5 +17,9 @@ LAST=$(printf '%s\n' "$OUT" | tail -n 1)
 printf '%s\n' "$LAST"
 case "$LAST" in
   *'"correct": true'*) exit 0 ;;
-  *) echo "perfbench_smoke: the $WORKLOAD run did not report \"correct\": true"; exit 1 ;;
 esac
+# The line before the result is the run's context; its "problems" list names
+# every check that failed.
+printf '%s\n' "$OUT" | tail -n 2 | head -n 1
+echo "perfbench_smoke: the $WORKLOAD run did not report \"correct\": true"
+exit 1

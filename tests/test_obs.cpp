@@ -54,12 +54,13 @@ TEST_F(ObsTest, TimerTracksCountTotalMinMax) {
   obs::record_timer("test.timer", 0.25);
   obs::record_timer("test.timer", 0.75);
   obs::record_timer("test.timer", 0.5);
-  const obs::Timer::Stats s = obs::MetricsRegistry::instance().timer("test.timer").stats();
+  const obs::Histogram::Snapshot s =
+      obs::MetricsRegistry::instance().timer("test.timer").snapshot();
   EXPECT_EQ(s.count, 3u);
-  EXPECT_DOUBLE_EQ(s.total_seconds, 1.5);
-  EXPECT_DOUBLE_EQ(s.min_seconds, 0.25);
-  EXPECT_DOUBLE_EQ(s.max_seconds, 0.75);
-  EXPECT_DOUBLE_EQ(s.mean_seconds(), 0.5);
+  EXPECT_DOUBLE_EQ(s.sum, 1.5);
+  EXPECT_DOUBLE_EQ(s.min, 0.25);
+  EXPECT_DOUBLE_EQ(s.max, 0.75);
+  EXPECT_DOUBLE_EQ(s.mean(), 0.5);
 }
 
 TEST_F(ObsTest, SnapshotCoversAllInstrumentKinds) {
@@ -109,9 +110,10 @@ TEST_F(ObsTest, ConcurrentTimerRecordsDoNotLose) {
     });
   }
   for (std::thread& t : threads) t.join();
-  const obs::Timer::Stats s = obs::MetricsRegistry::instance().timer("mt.timer").stats();
+  const obs::Histogram::Snapshot s =
+      obs::MetricsRegistry::instance().timer("mt.timer").snapshot();
   EXPECT_EQ(s.count, static_cast<std::uint64_t>(kThreads) * kRecords);
-  EXPECT_NEAR(s.total_seconds, kThreads * kRecords * 0.001, 1e-6);
+  EXPECT_NEAR(s.sum, kThreads * kRecords * 0.001, 1e-6);
 }
 
 TEST_F(ObsTest, SpanNestingDepthAndPath) {
@@ -183,12 +185,17 @@ TEST_F(ObsTest, MetricsJsonParsesBack) {
   obs::count("json.counter", 5);
   obs::set_gauge("json.gauge", 2.5);
   obs::record_timer("json.timer", 0.125);
+  obs::record_timer("json.timer", 0.375);
   const obs::JsonValue doc = obs::parse_json(obs::metrics_json());
   EXPECT_DOUBLE_EQ(doc.at("counters").at("json.counter").number, 5.0);
   EXPECT_DOUBLE_EQ(doc.at("gauges").at("json.gauge").number, 2.5);
+  // The timer keys of the snapshot schema, filled from the timer's histogram.
   const obs::JsonValue& timer = doc.at("timers").at("json.timer");
-  EXPECT_DOUBLE_EQ(timer.at("count").number, 1.0);
-  EXPECT_DOUBLE_EQ(timer.at("total_seconds").number, 0.125);
+  EXPECT_DOUBLE_EQ(timer.at("count").number, 2.0);
+  EXPECT_DOUBLE_EQ(timer.at("total_seconds").number, 0.5);
+  EXPECT_DOUBLE_EQ(timer.at("mean_seconds").number, 0.25);
+  EXPECT_DOUBLE_EQ(timer.at("min_seconds").number, 0.125);
+  EXPECT_DOUBLE_EQ(timer.at("max_seconds").number, 0.375);
 }
 
 TEST_F(ObsTest, MetricsJsonIsValidWhenEmpty) {
@@ -200,9 +207,10 @@ TEST_F(ObsTest, MetricsJsonIsValidWhenEmpty) {
 
 TEST_F(ObsTest, SpanFeedsTimerMetricOfSameName) {
   { obs::ScopedSpan span("span.timer"); }
-  const obs::Timer::Stats s = obs::MetricsRegistry::instance().timer("span.timer").stats();
+  const obs::Histogram::Snapshot s =
+      obs::MetricsRegistry::instance().timer("span.timer").snapshot();
   EXPECT_EQ(s.count, 1u);
-  EXPECT_GE(s.total_seconds, 0.0);
+  EXPECT_GE(s.sum, 0.0);
 }
 
 TEST_F(ObsTest, ConcurrentSpansKeepPerThreadNesting) {
@@ -377,14 +385,15 @@ TEST_F(ObsTest, ConcurrentHistogramRecordsDoNotLose) {
 
 TEST_F(ObsTest, TimerStatsCarryQuantiles) {
   for (int i = 1; i <= 100; ++i) obs::record_timer("q.timer", 1e-3 * i);
-  const obs::Timer::Stats s = obs::MetricsRegistry::instance().timer("q.timer").stats();
+  const obs::Histogram::Snapshot s =
+      obs::MetricsRegistry::instance().timer("q.timer").snapshot();
   EXPECT_EQ(s.count, 100u);
   const double tol = std::pow(10.0, 0.1) + 1e-12;
-  EXPECT_LE(s.p50_seconds / 0.050, tol);
-  EXPECT_LE(0.050 / s.p50_seconds, tol);
-  EXPECT_LE(s.p99_seconds / 0.099, tol);
-  EXPECT_LE(0.099 / s.p99_seconds, tol);
-  EXPECT_GE(s.p999_seconds, s.p99_seconds * (1.0 / tol));
+  EXPECT_LE(s.p50() / 0.050, tol);
+  EXPECT_LE(0.050 / s.p50(), tol);
+  EXPECT_LE(s.p99() / 0.099, tol);
+  EXPECT_LE(0.099 / s.p99(), tol);
+  EXPECT_GE(s.p999(), s.p99() * (1.0 / tol));
 }
 
 TEST_F(ObsTest, MetricsJsonCarriesTimerQuantilesAndHistograms) {
@@ -413,41 +422,6 @@ TEST_F(ObsTest, JsonNumberEmitsNullForNonFinite) {
 }
 
 // ---------------------------------------------------------------------------
-// Prometheus exposition
-
-TEST_F(ObsTest, PrometheusTextRoundTripsThroughValidator) {
-  obs::count("prom.requests", 3);
-  obs::set_gauge("prom.queue.depth", 2.0);
-  obs::record_timer("prom.latency", 0.125);
-  obs::record_histogram("prom.batch.size", 4.0);
-  const std::string text = obs::prometheus_text();
-  // Names are sanitized under the irf_ prefix and typed.
-  EXPECT_NE(text.find("# TYPE irf_prom_requests counter"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE irf_prom_queue_depth gauge"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE irf_prom_latency_seconds summary"), std::string::npos);
-  EXPECT_NE(text.find("quantile=\"0.99\""), std::string::npos);
-  EXPECT_NE(text.find("# TYPE irf_prom_batch_size histogram"), std::string::npos);
-  EXPECT_NE(text.find("le=\"+Inf\""), std::string::npos);
-  const std::size_t samples = obs::check_prometheus_text(text);
-  EXPECT_GT(samples, 8u);
-}
-
-TEST_F(ObsTest, PrometheusValidatorRejectsMalformedInput) {
-  EXPECT_THROW(obs::check_prometheus_text("not prometheus at all{"), ParseError);
-  EXPECT_THROW(obs::check_prometheus_text("metric_name not_a_number\n"), ParseError);
-  EXPECT_THROW(obs::check_prometheus_text("# TYPE irf_x bogus_kind\n"), ParseError);
-  EXPECT_NO_THROW(obs::check_prometheus_text("# a plain comment\nok_metric 1\n"));
-  // Lines are capped at 1024 bytes before std::regex_match, which recurses
-  // once per character: `m{a="` + value + `"} 1` is 9 bytes plus the value.
-  auto sample_line = [](std::size_t value_bytes) {
-    return "m{a=\"" + std::string(value_bytes, 'x') + "\"} 1\n";
-  };
-  EXPECT_THROW(obs::check_prometheus_text(sample_line(100000)), ParseError);
-  EXPECT_THROW(obs::check_prometheus_text(sample_line(1024 - 9 + 1)), ParseError);
-  EXPECT_EQ(obs::check_prometheus_text(sample_line(1024 - 9)), 1u);
-}
-
-// ---------------------------------------------------------------------------
 // Retroactive spans
 
 TEST_F(ObsTest, EmitSpanRecordsTimerAndTraceEvent) {
@@ -455,9 +429,10 @@ TEST_F(ObsTest, EmitSpanRecordsTimerAndTraceEvent) {
   const auto start = std::chrono::steady_clock::now();
   const auto end = start + std::chrono::milliseconds(2);
   obs::emit_span("retro.span", "serve", start, end, {{"req_id", 7.0}});
-  const obs::Timer::Stats s = obs::MetricsRegistry::instance().timer("retro.span").stats();
+  const obs::Histogram::Snapshot s =
+      obs::MetricsRegistry::instance().timer("retro.span").snapshot();
   EXPECT_EQ(s.count, 1u);
-  EXPECT_NEAR(s.total_seconds, 0.002, 1e-9);
+  EXPECT_NEAR(s.sum, 0.002, 1e-9);
   const std::vector<obs::TraceEvent> events = obs::trace_events();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].name, "retro.span");
@@ -470,21 +445,10 @@ TEST_F(ObsTest, EmitSpanRecordsTimerAndTraceEvent) {
 TEST_F(ObsTest, EmitSpanClampsReversedInterval) {
   const auto start = std::chrono::steady_clock::now();
   obs::emit_span("retro.clamp", "serve", start, start - std::chrono::milliseconds(5));
-  const obs::Timer::Stats s =
-      obs::MetricsRegistry::instance().timer("retro.clamp").stats();
+  const obs::Histogram::Snapshot s =
+      obs::MetricsRegistry::instance().timer("retro.clamp").snapshot();
   EXPECT_EQ(s.count, 1u);
-  EXPECT_DOUBLE_EQ(s.total_seconds, 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// Residual-curve gate
-
-TEST_F(ObsTest, ResidualCurveCaptureDefaultsOffAndToggles) {
-  EXPECT_FALSE(obs::residual_curve_capture());
-  obs::set_residual_curve_capture(true);
-  EXPECT_TRUE(obs::residual_curve_capture());
-  obs::set_residual_curve_capture(false);
-  EXPECT_FALSE(obs::residual_curve_capture());
+  EXPECT_DOUBLE_EQ(s.sum, 0.0);
 }
 
 TEST_F(ObsTest, JsonParserRoundTripsEscapes) {

@@ -796,16 +796,14 @@ TEST_F(ServeFixture, ReqIdsAreMonotonicAcrossRequests) {
 
 TEST_F(ServeFixture, TelemetryOnOffIsBitIdentical) {
   // The whole observability layer is read-only: enabling metrics + tracing
-  // (and the residual-curve capture) must not move a single output bit.
+  // must not move a single output bit.
   GridF with_telemetry, without_telemetry;
   {
     TelemetryOn telemetry;
-    obs::set_residual_curve_capture(true);
     auto engine = Engine::from_checkpoint(*checkpoint_path_);
     AnalysisResult r = engine->analyze(test_design());
     ASSERT_TRUE(r.ok()) << r.error;
     with_telemetry = r.ir_drop;
-    obs::set_residual_curve_capture(false);
     // The traced forward ran inside its per-block spans and counted its
     // conv multiply-adds.
     std::set<std::string> names;

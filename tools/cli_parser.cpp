@@ -12,7 +12,6 @@ const std::vector<FlagSpec>& global_flags() {
   static const std::vector<FlagSpec> kGlobal = {
       {"trace-out", "FILE.json", "write Chrome trace-event spans for the run"},
       {"metrics-out", "FILE.json", "write the metrics snapshot for the run"},
-      {"prom-out", "FILE.prom", "write the metrics snapshot in Prometheus text format"},
       {"help", "", "show this help and exit"},
   };
   return kGlobal;

@@ -10,16 +10,14 @@
 //   serve-batch  persistent engine: batched, cached analysis of a deck set
 //   serve-load   sharded router under open-loop Poisson load (N engine shards)
 //   json-check   validate a JSON artifact (CI helper)
-//   prom-check   validate a Prometheus text-format artifact (CI helper)
 //
 // Flags are kebab-case. Every subcommand also accepts the global telemetry
-// flags --trace-out / --metrics-out / --prom-out and honors IRF_TRACE /
-// IRF_METRICS / IRF_LOG_LEVEL / IRF_RESIDUAL_CURVES (docs/OBSERVABILITY.md).
+// flags --trace-out / --metrics-out and honors IRF_TRACE / IRF_METRICS /
+// IRF_LOG_LEVEL (docs/OBSERVABILITY.md).
 // The library surface used here is the public facade, src/irf.hpp
 // (docs/API.md).
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -107,8 +105,6 @@ const cli::CommandSpec kServeBatchSpec = {
         {"repeat", "R", "serve the design list R times (cache warm-up demo)"},
         {"timeout-seconds", "T", "per-request deadline (0 = none)"},
         {"cache-mb", "MB", "per-design cache budget"},
-        {"prom-every-seconds", "T",
-         "rewrite --prom-out every T seconds while serving (0 = only at exit)"},
     }};
 
 const cli::CommandSpec kServeLoadSpec = {
@@ -137,16 +133,10 @@ const cli::CommandSpec kJsonCheckSpec = {
     "Validate that FILE.json parses as JSON (exit non-zero otherwise).",
     {}};
 
-const cli::CommandSpec kPromCheckSpec = {
-    "prom-check",
-    "FILE.prom",
-    "Validate that FILE.prom is Prometheus exposition text (exit non-zero otherwise).",
-    {}};
-
 const std::vector<const cli::CommandSpec*>& all_commands() {
   static const std::vector<const cli::CommandSpec*> kCommands = {
       &kGenerateSpec,   &kSolveSpec,     &kTrainSpec,     &kAnalyzeSpec,
-      &kServeBatchSpec, &kServeLoadSpec, &kJsonCheckSpec, &kPromCheckSpec};
+      &kServeBatchSpec, &kServeLoadSpec, &kJsonCheckSpec};
   return kCommands;
 }
 
@@ -287,42 +277,6 @@ int cmd_serve_batch(const cli::ParsedArgs& args) {
       static_cast<std::size_t>(args.flag_int_at_least("cache-mb", 256, 1)) << 20;
   opts.default_timeout_seconds = args.flag_double("timeout-seconds", 0.0);
   const int repeat = args.flag_int_at_least("repeat", 1, 1);
-
-  // Periodic Prometheus snapshots while serving: a scrape-file stand-in for
-  // a pull endpoint (node-exporter textfile-collector style).
-  const double prom_every = args.flag_double("prom-every-seconds", 0.0);
-  const std::string prom_path = args.flag("prom-out");
-  if (prom_every > 0.0 && prom_path.empty()) {
-    throw ConfigError("serve-batch: --prom-every-seconds needs --prom-out");
-  }
-  std::atomic<bool> prom_done{false};
-  std::thread prom_thread;
-  if (prom_every > 0.0) {
-    prom_thread = std::thread([&prom_done, prom_every, prom_path] {
-      auto next = std::chrono::steady_clock::now() +
-                  std::chrono::duration<double>(prom_every);
-      while (!prom_done.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        if (std::chrono::steady_clock::now() < next) continue;
-        try {
-          obs::export_prometheus(prom_path);
-        } catch (const std::exception& e) {
-          obs::info() << "serve-batch: periodic prometheus snapshot failed: "
-                      << e.what();
-        }
-        next += std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(prom_every));
-      }
-    });
-  }
-  struct PromThreadJoiner {
-    std::atomic<bool>& done;
-    std::thread& thread;
-    ~PromThreadJoiner() {
-      done.store(true, std::memory_order_relaxed);
-      if (thread.joinable()) thread.join();
-    }
-  } prom_joiner{prom_done, prom_thread};
 
   const std::string model = args.flag("load-model");
   std::unique_ptr<Engine> engine =
@@ -494,21 +448,6 @@ int cmd_json_check(const cli::ParsedArgs& args) {
   return 0;
 }
 
-int cmd_prom_check(const cli::ParsedArgs& args) {
-  if (args.positional.empty()) throw ConfigError("prom-check: need a file path");
-  const std::string& path = args.positional[0];
-  std::ifstream in(path);
-  if (!in) throw Error("prom-check: cannot open " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  // Throws ParseError (with a line number) on the first malformed line.
-  const std::size_t samples = obs::check_prometheus_text(text.str());
-  if (samples == 0) throw ParseError("prom-check: " + path + " has no sample lines");
-  obs::info() << path << ": valid Prometheus exposition text (" << samples
-              << " samples)";
-  return 0;
-}
-
 void usage() {
   std::cout << "usage: irf_cli <command> [options]\n";
   for (const cli::CommandSpec* spec : all_commands()) {
@@ -520,16 +459,14 @@ void usage() {
             << "telemetry (any subcommand; see docs/OBSERVABILITY.md):\n"
             << "  --trace-out FILE.json   write Chrome trace-event spans for the run\n"
             << "  --metrics-out FILE.json write the metrics snapshot for the run\n"
-            << "  --prom-out FILE.prom    write the metrics snapshot as Prometheus text\n"
-            << "  env: IRF_TRACE, IRF_METRICS, IRF_LOG_LEVEL=quiet|normal|verbose,\n"
-            << "       IRF_RESIDUAL_CURVES=1 (residual curves on solve spans)\n";
+            << "  env: IRF_TRACE, IRF_METRICS, IRF_LOG_LEVEL=quiet|normal|verbose\n";
 }
 
-/// Apply --trace-out/--metrics-out/--prom-out before a subcommand runs.
+/// Apply --trace-out/--metrics-out before a subcommand runs.
 void begin_telemetry(const cli::ParsedArgs& args) {
-  obs::init_from_env();  // IRF_TRACE / IRF_METRICS / IRF_LOG_LEVEL / curves
+  obs::init_from_env();  // IRF_TRACE / IRF_METRICS / IRF_LOG_LEVEL
   if (args.has("trace-out")) obs::set_trace_enabled(true);
-  if (args.has("metrics-out") || args.has("prom-out")) obs::set_metrics_enabled(true);
+  if (args.has("metrics-out")) obs::set_metrics_enabled(true);
 }
 
 /// Export the artifacts the flags asked for once the subcommand finished.
@@ -543,11 +480,6 @@ void end_telemetry(const cli::ParsedArgs& args) {
   if (!metrics_out.empty()) {
     obs::write_metrics_json(metrics_out);
     obs::info() << "metrics written to " << metrics_out;
-  }
-  const std::string prom_out = args.flag("prom-out");
-  if (!prom_out.empty()) {
-    obs::export_prometheus(prom_out);
-    obs::info() << "prometheus metrics written to " << prom_out;
   }
 }
 
@@ -587,7 +519,6 @@ int main(int argc, char** argv) {
     else if (spec == &kServeBatchSpec) rc = cmd_serve_batch(args);
     else if (spec == &kServeLoadSpec) rc = cmd_serve_load(args);
     else if (spec == &kJsonCheckSpec) rc = cmd_json_check(args);
-    else if (spec == &kPromCheckSpec) rc = cmd_prom_check(args);
     end_telemetry(args);
     return rc;
   } catch (const std::exception& e) {
